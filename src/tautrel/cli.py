@@ -231,10 +231,14 @@ def _cmd_relation(args) -> int:
     size = max(a_exp, 1)
     q = co.build_q_table(size)
     c = co.build_c_table(q)
-    if args.psi:
-        out = tr.extract_psi_relation(args.g, args.d, q, c)
-    else:
-        out = tr.extract_relation(args.g, args.d, args.b, q, c)
+    try:
+        if args.psi:
+            out = tr.extract_psi_relation(args.g, args.d, q, c)
+        else:
+            out = tr.extract_relation(args.g, args.d, args.b, q, c)
+    except ValueError as exc:  # e.g. a generator index past tr.MAX_INDEX
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(tr.relation_json(out))
     return 0
 
@@ -333,7 +337,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (`tautrel ... | head`): exit 1 quietly, and
+        # point stdout at devnull so the flush at interpreter exit is silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

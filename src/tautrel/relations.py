@@ -17,7 +17,12 @@ from fractions import Fraction
 from math import lcm
 
 from .coeffs import CTable, QTable
-from .tautring import KappaPoly, Mono, extract_relation, kappa_exponential
+from .tautring import (
+    KappaPoly,
+    extract_relation,
+    kappa_exponential,
+    weighted_monomials,
+)
 
 __all__ = [
     "FaberChoice",
@@ -119,10 +124,7 @@ def faber_solve(
             raise FaberConsistencyError(
                 f"zero leading coefficient at (g={g}, a={ch.a}, d={ch.d}, b={ch.b})"
             )
-        rest = KappaPoly(
-            {mo: v for mo, v in rel.poly.terms.items() if mo != ((ch.a, 1),)}
-        )
-        raw = rest.scale(Fraction(-1) / lam)
+        raw = rel.poly.without_gen(ch.a).scale(Fraction(-1) / lam)
         red = raw.substitute(reduced, _power_cache=power_cache)
         if red.max_gen() > m:
             raise FaberConsistencyError(
@@ -223,26 +225,6 @@ def scan_nonvanishing(
                         }
                     )
     return rep
-
-
-def weighted_monomials(degree: int) -> list[Mono]:
-    """All kappa monomials of the given weighted degree (partitions of it)."""
-    out: list[Mono] = []
-
-    def rec(remaining: int, max_part: int, acc: list[int]) -> None:
-        if remaining == 0:
-            counts: dict[int, int] = {}
-            for part in acc:
-                counts[part] = counts.get(part, 0) + 1
-            out.append(tuple(sorted(counts.items())))
-            return
-        for part in range(min(max_part, remaining), 0, -1):
-            acc.append(part)
-            rec(remaining - part, part, acc)
-            acc.pop()
-
-    rec(degree, degree, [])
-    return out
 
 
 def rank_exact(rows: list[list[Fraction]]) -> int:

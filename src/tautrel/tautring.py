@@ -1,27 +1,47 @@
 """Sparse weighted polynomial algebra in kappa generators and relation extraction.
 
-Generators are indexed by positive integers; index 0 is reserved for the
+Generators are indexed by nonnegative integers; index 0 is reserved for the
 extra weight-1 generator psi used by the pointed-curve relation.  The
 index-0 and index-(-1) kappa symbols are never generators: they are
 substituted as the scalars 2g-2 and 0 at extraction time, which keeps
 the ring independent of the genus.
 
-A monomial is a tuple of (index, exponent) pairs sorted by index; its
-weighted degree counts index*exponent (psi counts 1 per power).  Every
-extracted relation is homogeneous in this grading.
+Inside a polynomial a monomial is a packed exponent vector (Monagan and
+Pearce, CASC 2007): one int holding an 8-bit exponent field per generator
+index, psi (index 0) in the lowest byte, so multiplying two monomials is
+one integer addition.  Generator indices run 0..MAX_INDEX and a stored
+exponent 0..255.  A product whose operands hold an exponent of 128 or
+more raises OverflowError, since the sum of two such fields could carry
+into the next generator's field; no monomial ever aliases another.
+
+A polynomial is a map from packed monomial to integer numerator over one
+positive denominator.  It is kept normalised (no zero numerators, and the
+gcd of the numerators and the denominator is 1), so equality is exact
+dict equality.  Sums, scalings and products work on integers only, and
+every product goes through one kernel, ``_sum_of_products``.
+
+At the edges a monomial reads as a tuple of (index, exponent) pairs
+sorted by index (``Mono``): ``terms``, ``sorted_terms``, ``coeff`` and the
+constructor speak that form.  The weighted degree of a monomial counts
+index*exponent (psi counts 1 per power).  Every extracted relation is
+homogeneous in this grading.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
 
 from .coeffs import AlphaTable, CTable, QTable
 from .series import UniSeries
 
 __all__ = [
+    "MAX_INDEX",
     "KappaPoly",
     "PolySeries",
     "TautRelation",
@@ -34,56 +54,105 @@ __all__ = [
     "extract_diagonal_relation",
     "relation_json",
     "terms_json",
+    "weighted_monomials",
 ]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 Mono = tuple[tuple[int, int], ...]
-UNIT: Mono = ()
+
+# One byte per generator index; decoding reads the packed int's bytes.
+_FIELD_BITS = 8
+_EXP_MAX = (1 << _FIELD_BITS) - 1
+MAX_INDEX = 1023
+# Top bit of every field: set in a product operand means a carry is possible.
+_FIELD_TOPS = int.from_bytes(b"\x80" * (MAX_INDEX + 1), "little")
+_COMPLEMENT = bytes(range(_EXP_MAX, -1, -1))
 
 
-def _mono_mul(m1: Mono, m2: Mono) -> Mono:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    d = dict(m1)
-    for idx, e in m2:
-        d[idx] = d.get(idx, 0) + e
-    return tuple(sorted(d.items()))
+def _encode(mono: Mono) -> int:
+    key = 0
+    for idx, e in mono:
+        if not 0 <= idx <= MAX_INDEX:
+            raise ValueError(f"generator index {idx} outside 0..{MAX_INDEX}")
+        if not 0 <= e <= _EXP_MAX:
+            raise ValueError(f"exponent {e} of generator {idx} outside 0..{_EXP_MAX}")
+        shift = _FIELD_BITS * idx
+        if (key >> shift) & _EXP_MAX:
+            raise ValueError(f"generator index {idx} repeated in {mono!r}")
+        key += e << shift
+    return key
 
 
-def _mono_weight(m: Mono) -> int:
-    return sum((idx if idx >= 1 else 1) * e for idx, e in m)
+def _exponents(key: int) -> bytes:
+    """Byte i is the exponent of generator i."""
+    return key.to_bytes((key.bit_length() + 7) // 8, "little")
 
 
-def _mono_cmp(m1: Mono, m2: Mono) -> int:
-    """Canonical order: graded, then lexicographic by exponent vector."""
-    w1, w2 = _mono_weight(m1), _mono_weight(m2)
-    if w1 != w2:
-        return -1 if w1 < w2 else 1
-    d1, d2 = dict(m1), dict(m2)
-    for idx in sorted(set(d1) | set(d2)):
-        e1, e2 = d1.get(idx, 0), d2.get(idx, 0)
-        if e1 != e2:
-            return -1 if e1 > e2 else 1
-    return 0
+def _decode(key: int) -> Mono:
+    return tuple((idx, e) for idx, e in enumerate(_exponents(key)) if e)
+
+
+def _weight(key: int) -> int:
+    f = _exponents(key)
+    return sum(idx * e for idx, e in enumerate(f)) + (f[0] if f else 0)
+
+
+class _TermsView(Mapping):
+    """Read-only {Mono: Fraction} view of a polynomial, decoded on access."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: dict[int, int], den: int):
+        self._num = num
+        self._den = den
+
+    def __len__(self) -> int:
+        return len(self._num)
+
+    def __iter__(self):
+        return map(_decode, self._num)
+
+    def __getitem__(self, mono: Mono) -> Fraction:
+        try:
+            return Fraction(self._num[_encode(mono)], self._den)
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(mono) from None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
 
 
 class KappaPoly:
-    """Sparse polynomial: map from monomial to nonzero rational coefficient."""
+    """Sparse polynomial: packed monomial -> integer numerator, one denominator."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_num", "_den", "_tops")
 
-    def __init__(self, terms: dict[Mono, Fraction] | None = None):
-        clean: dict[Mono, Fraction] = {}
+    def __init__(self, terms: Mapping[Mono, Fraction] | None = None):
+        num: dict[int, int] = {}
+        den = 1
         if terms:
-            for m, v in terms.items():
-                v = Fraction(v)
-                if v:
-                    clean[m] = v
-        self.terms = clean
+            fracs = [(_encode(m), Fraction(v)) for m, v in terms.items()]
+            den = lcm(*(v.denominator for _, v in fracs))
+            for k, v in fracs:
+                num[k] = num.get(k, 0) + v.numerator * (den // v.denominator)
+        self._set(num, den)
+
+    def _set(self, num: dict[int, int], den: int) -> None:
+        """Store num/den in normal form: no zeros, gcd(numerators, den) = 1."""
+        if 0 in num.values():
+            num = {k: v for k, v in num.items() if v}
+        if not num:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {k: v // g for k, v in num.items()}
+        self._num = num
+        self._den = den
+        self._tops = None
 
     @classmethod
     def zero(cls) -> "KappaPoly":
@@ -91,73 +160,91 @@ class KappaPoly:
 
     @classmethod
     def scalar(cls, v: Fraction) -> "KappaPoly":
-        return cls({UNIT: Fraction(v)})
+        v = Fraction(v)
+        return _poly({0: v.numerator}, v.denominator)
 
     @classmethod
     def gen(cls, index: int, exponent: int = 1, coeff: Fraction = _ONE) -> "KappaPoly":
         if index < 0 or exponent < 1:
             raise ValueError("generator index must be >= 0 and exponent >= 1")
-        return cls({((index, exponent),): Fraction(coeff)})
+        coeff = Fraction(coeff)
+        return _poly({_encode(((index, exponent),)): coeff.numerator}, coeff.denominator)
+
+    @property
+    def terms(self) -> _TermsView:
+        """The terms as a read-only {Mono: Fraction} mapping."""
+        return _TermsView(self._num, self._den)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KappaPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._den == other._den and self._num == other._num
+
+    def _combine(self, other: "KappaPoly", sign: int) -> "KappaPoly":
+        den = lcm(self._den, other._den)
+        s1, s2 = den // self._den, sign * (den // other._den)
+        out = {k: v * s1 for k, v in self._num.items()} if s1 != 1 else dict(self._num)
+        for k, v in other._num.items():
+            if k in out:
+                out[k] += v * s2
+            else:
+                out[k] = v * s2
+        return _poly(out, den)
 
     def __add__(self, other: "KappaPoly") -> "KappaPoly":
-        out = dict(self.terms)
-        for m, v in other.terms.items():
-            out[m] = out.get(m, _ZERO) + v
-        return KappaPoly(out)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "KappaPoly") -> "KappaPoly":
-        out = dict(self.terms)
-        for m, v in other.terms.items():
-            out[m] = out.get(m, _ZERO) - v
-        return KappaPoly(out)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "KappaPoly":
-        return KappaPoly({m: -v for m, v in self.terms.items()})
+        return _poly({k: -v for k, v in self._num.items()}, self._den)
 
     def scale(self, r: Fraction) -> "KappaPoly":
         r = Fraction(r)
-        if not r:
-            return KappaPoly()
-        return KappaPoly({m: r * v for m, v in self.terms.items()})
+        a = r.numerator
+        return _poly({k: a * v for k, v in self._num.items()}, r.denominator * self._den)
 
     def __mul__(self, other: "KappaPoly") -> "KappaPoly":
-        out: dict[Mono, Fraction] = {}
-        for m1, v1 in self.terms.items():
-            for m2, v2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                out[m] = out.get(m, _ZERO) + v1 * v2
-        return KappaPoly(out)
+        return _sum_of_products([(self, other, 1)])
 
     def coeff(self, mono: Mono) -> Fraction:
-        return self.terms.get(mono, _ZERO)
+        try:
+            n = self._num.get(_encode(mono))
+        except ValueError:
+            return _ZERO
+        return Fraction(n, self._den) if n else _ZERO
 
     def gen_coeff(self, index: int) -> Fraction:
         """Coefficient of the bare generator kappa_index (exponent 1)."""
-        return self.terms.get(((index, 1),), _ZERO)
+        return self.coeff(((index, 1),))
+
+    def without_gen(self, index: int) -> "KappaPoly":
+        """This polynomial with its bare kappa_index term (exponent 1) dropped."""
+        num = dict(self._num)
+        num.pop(_encode(((index, 1),)), None)
+        return _poly(num, self._den)
+
+    def _field_tops(self) -> int:
+        """Top bit of every exponent field used by any term (cached)."""
+        if self._tops is None:
+            self._tops = reduce(or_, self._num, 0) & _FIELD_TOPS
+        return self._tops
 
     def max_gen(self) -> int:
         """Largest generator index present; -1 for constants and zero."""
-        best = -1
-        for m in self.terms:
-            for idx, _ in m:
-                if idx > best:
-                    best = idx
-        return best
+        used = reduce(or_, self._num, 0)
+        return (used.bit_length() - 1) // _FIELD_BITS if used else -1
 
     def homogeneous_degree(self) -> int | None:
         """Common weighted degree, None for the zero polynomial.
 
         Raises ValueError when the terms mix degrees.
         """
-        degs = {_mono_weight(m) for m in self.terms}
+        degs = {_weight(k) for k in self._num}
         if not degs:
             return None
         if len(degs) > 1:
@@ -167,44 +254,50 @@ class KappaPoly:
     def substitute(
         self,
         mapping: dict[int, "KappaPoly"],
-        _power_cache: dict[tuple[int, int], "KappaPoly"] | None = None,
+        _power_cache: dict[int, "KappaPoly"] | None = None,
     ) -> "KappaPoly":
         """Replace each mapped generator by its polynomial, exactly.
 
-        Unmapped generators pass through.  Powers of substituted values
-        are cached across calls when a shared cache dict is supplied.
+        Unmapped generators pass through.  Terms are grouped by their
+        mapped part, and the product of substituted powers for each
+        group is cached across calls when a shared cache dict is
+        supplied; that cache is only valid for one fixed mapping per
+        generator.
         """
         cache = _power_cache if _power_cache is not None else {}
-        out = KappaPoly()
-        for m, v in self.terms.items():
-            kept: list[tuple[int, int]] = []
-            factors: list[KappaPoly] = []
-            for idx, e in m:
-                if idx in mapping:
-                    key = (idx, e)
-                    pw = cache.get(key)
-                    if pw is None:
-                        pw = mapping[idx]
-                        for _ in range(e - 1):
-                            pw = pw * mapping[idx]
-                        cache[key] = pw
-                    factors.append(pw)
-                else:
-                    kept.append((idx, e))
-            piece = KappaPoly({tuple(kept): v})
-            for f in factors:
-                piece = piece * f
-            out = out + piece
-        return out
+        mask = 0
+        for idx in mapping:
+            mask |= _EXP_MAX << (_FIELD_BITS * idx)
+        groups: dict[int, dict[int, int]] = {}
+        for k, n in self._num.items():
+            mapped = k & mask
+            kept = groups.get(mapped)
+            if kept is None:
+                groups[mapped] = {k - mapped: n}
+            else:
+                kept[k - mapped] = n
+        return _sum_of_products(
+            [
+                (_poly(kept, self._den), _power_product(mapped, mapping, cache), 1)
+                for mapped, kept in groups.items()
+            ]
+        )
 
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
-        return [
-            (m, self.terms[m])
-            for m in sorted(self.terms, key=cmp_to_key(_mono_cmp))
-        ]
+        """Terms in canonical order: graded by weighted degree, then
+        lexicographic with the larger exponent of the lowest differing
+        index first."""
+        num, den = self._num, self._den
+        width = (reduce(or_, num, 0).bit_length() + 7) // 8
+
+        def key(k: int) -> tuple[int, bytes]:
+            f = k.to_bytes(width, "little")
+            return _weight(k), f.translate(_COMPLEMENT)
+
+        return [(_decode(k), Fraction(num[k], den)) for k in sorted(num, key=key)]
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "0"
         parts = []
         for m, v in self.sorted_terms():
@@ -217,13 +310,99 @@ class KappaPoly:
         return " + ".join(parts)
 
     def __repr__(self) -> str:
-        return f"KappaPoly({len(self.terms)} terms)"
+        return f"KappaPoly({len(self._num)} terms)"
+
+
+def _poly(num: dict[int, int], den: int) -> KappaPoly:
+    """The normalised polynomial num/den, for den > 0."""
+    p = object.__new__(KappaPoly)
+    p._set(num, den)
+    return p
+
+
+_UNIT_POLY = _poly({0: 1}, 1)
+
+
+def _sum_of_products(
+    pairs: list[tuple[KappaPoly, KappaPoly, int]], div: int = 1
+) -> KappaPoly:
+    """sum(r * p * q for p, q, r in pairs) / div, for integers r and div > 0.
+
+    This is the one multiplication kernel: products, substitution and
+    the exponential recurrence all end here.  Every pair shares one
+    denominator, so the inner loop adds packed monomials and multiplies
+    integer numerators only.
+    """
+    den = lcm(*(p._den * q._den for p, q, _ in pairs))
+    acc: dict[int, int] = {}
+    for p, q, r in pairs:
+        if p._field_tops() | q._field_tops():
+            raise OverflowError(
+                "exponent of 128 or more in a product operand: packed field would carry"
+            )
+        pt, qt = p._num, q._num
+        if len(pt) > len(qt):
+            pt, qt = qt, pt
+        c = r * (den // (p._den * q._den))
+        for k1, n1 in pt.items():
+            n1 *= c
+            for k2, n2 in qt.items():
+                k = k1 + k2
+                if k in acc:
+                    acc[k] += n1 * n2
+                else:
+                    acc[k] = n1 * n2
+    return _poly(acc, den * div)
+
+
+def _power_product(
+    mapped: int, mapping: dict[int, KappaPoly], cache: dict[int, KappaPoly]
+) -> KappaPoly:
+    """Product of mapping[idx]**e over the fields of a packed monomial, cached."""
+    if not mapped:
+        return _UNIT_POLY
+    f = cache.get(mapped)
+    if f is None:
+        top = (mapped.bit_length() - 1) // _FIELD_BITS
+        shift = _FIELD_BITS * top
+        e = mapped >> shift
+        rest = mapped - (e << shift)
+        if rest:
+            f = _power_product(rest, mapping, cache) * _power_product(
+                e << shift, mapping, cache
+            )
+        elif e == 1:
+            f = mapping[top]
+        else:
+            f = _power_product((e - 1) << shift, mapping, cache) * mapping[top]
+        cache[mapped] = f
+    return f
 
 
 def terms_json(poly: KappaPoly) -> list[dict]:
     out = []
     for m, v in poly.sorted_terms():
         out.append({"monomial": {str(idx): e for idx, e in m}, "coeff": str(v)})
+    return out
+
+
+def weighted_monomials(degree: int) -> list[Mono]:
+    """All kappa monomials of the given weighted degree (partitions of it)."""
+    out: list[Mono] = []
+
+    def rec(remaining: int, max_part: int, acc: list[int]) -> None:
+        if remaining == 0:
+            counts: dict[int, int] = {}
+            for part in acc:
+                counts[part] = counts.get(part, 0) + 1
+            out.append(tuple(sorted(counts.items())))
+            return
+        for part in range(min(max_part, remaining), 0, -1):
+            acc.append(part)
+            rec(remaining - part, part, acc)
+            acc.pop()
+
+    rec(degree, degree, [])
     return out
 
 
@@ -258,12 +437,11 @@ def _exp_from_slices(
     """exp of sum_{m>=1} slice_m * v1^m, cellwise through (n1, n2).
 
     Uses the derivative recurrence in the first variable:
-    i * e_i = sum_m m * s_m * e_{i-m}, merging raw term dicts to keep
-    object churn down.
+    i * e_i = sum_m m * s_m * e_{i-m}, one kernel call per cell.
     """
-    e: list[dict[int, KappaPoly]] = [{0: KappaPoly.scalar(_ONE)}]
+    e: list[dict[int, KappaPoly]] = [{0: _UNIT_POLY}]
     for i in range(1, n1 + 1):
-        acc: dict[int, dict[Mono, Fraction]] = {}
+        buckets: dict[int, list[tuple[KappaPoly, KappaPoly, int]]] = {}
         for m in range(1, i + 1):
             sm = slices.get(m)
             if not sm:
@@ -272,16 +450,9 @@ def _exp_from_slices(
             for jm, p in sm.items():
                 for je, qp in em.items():
                     j = jm + je
-                    if j > n2:
-                        continue
-                    bucket = acc.setdefault(j, {})
-                    for m1, v1 in p.terms.items():
-                        mv1 = m * v1
-                        for m2, v2 in qp.terms.items():
-                            mono = _mono_mul(m1, m2)
-                            bucket[mono] = bucket.get(mono, _ZERO) + mv1 * v2
-        inv = Fraction(1, i)
-        e.append({j: KappaPoly(t).scale(inv) for j, t in acc.items()})
+                    if j <= n2:
+                        buckets.setdefault(j, []).append((p, qp, m))
+        e.append({j: _sum_of_products(pairs, div=i) for j, pairs in buckets.items()})
     out: dict[tuple[int, int], KappaPoly] = {}
     for i, row in enumerate(e):
         for j, p in row.items():
@@ -350,14 +521,14 @@ def _convolve_cell(
     e: PolySeries, f2: dict[tuple[int, int], KappaPoly], i: int, j: int
 ) -> KappaPoly:
     """Coefficient (i, j) of e * f2 without forming the full product."""
-    total = KappaPoly()
+    pairs = []
     for (i2, j2), p in f2.items():
         if i2 > i or j2 > j:
             continue
         cell = e.cells.get((i - i2, j - j2))
         if cell is not None:
-            total = total + cell * p
-    return total
+            pairs.append((cell, p, 1))
+    return _sum_of_products(pairs)
 
 
 def _second_factor(
@@ -546,11 +717,12 @@ def extract_diagonal_relation(g: int, b: int, a: int, c: CTable) -> DiagonalRela
             cv = c.get(j, j)
             if cv:
                 f2[j + b] = KappaPoly.gen(j + b, coeff=-12 * j * cv)
-        poly = KappaPoly()
+        pairs = []
         for i, p in f2.items():
             cell = e.get((a - i, 0))
             if cell is not None:
-                poly = poly + cell * p
+                pairs.append((cell, p, 1))
+        poly = _sum_of_products(pairs)
     return DiagonalRelation(g=g, b=b, a=a, poly=poly)
 
 

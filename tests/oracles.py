@@ -92,3 +92,79 @@ def oracle_extract(g, d, b, q, c):
 def as_poly_terms(poly):
     """Terms of a library KappaPoly in the oracle's monomial convention."""
     return {m: v for m, v in poly.terms.items()}
+
+
+# --------------------------------------------------------------- reference ring
+#
+# Plain {monomial: Fraction} polynomials for differential tests of the
+# packed KappaPoly kernel.  A monomial is a tuple of (index, exponent)
+# pairs sorted by index, the form the library's .terms view reads back.
+# Every operation is the schoolbook one, written out again here.
+
+
+def ref_clean(p):
+    return {m: Fraction(v) for m, v in p.items() if v}
+
+
+def ref_mono_mul(m1, m2):
+    d = dict(m1)
+    for idx, e in m2:
+        d[idx] = d.get(idx, 0) + e
+    return tuple(sorted(d.items()))
+
+
+def ref_add(p, q):
+    out = dict(p)
+    for m, v in q.items():
+        out[m] = out.get(m, Fraction(0)) + v
+    return ref_clean(out)
+
+
+def ref_scale(p, r):
+    return ref_clean({m: v * r for m, v in p.items()})
+
+
+def ref_mul(p, q):
+    out = {}
+    for m1, v1 in p.items():
+        for m2, v2 in q.items():
+            m = ref_mono_mul(m1, m2)
+            out[m] = out.get(m, Fraction(0)) + v1 * v2
+    return ref_clean(out)
+
+
+def ref_pow(p, e):
+    out = {(): Fraction(1)}
+    for _ in range(e):
+        out = ref_mul(out, p)
+    return out
+
+
+def ref_substitute(p, mapping):
+    """Replace each mapped generator index by its polynomial."""
+    out = {}
+    for m, v in p.items():
+        kept = tuple((idx, e) for idx, e in m if idx not in mapping)
+        piece = {kept: v}
+        for idx, e in m:
+            if idx in mapping:
+                piece = ref_mul(piece, ref_pow(mapping[idx], e))
+        out = ref_add(out, piece)
+    return out
+
+
+def mono_weight(m):
+    return sum((idx if idx >= 1 else 1) * e for idx, e in m)
+
+
+def mono_cmp(m1, m2):
+    """Canonical order: graded, then lexicographic by exponent vector."""
+    w1, w2 = mono_weight(m1), mono_weight(m2)
+    if w1 != w2:
+        return -1 if w1 < w2 else 1
+    d1, d2 = dict(m1), dict(m2)
+    for idx in sorted(set(d1) | set(d2)):
+        e1, e2 = d1.get(idx, 0), d2.get(idx, 0)
+        if e1 != e2:
+            return -1 if e1 > e2 else 1
+    return 0

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +119,9 @@ def test_relation_out_of_range(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["relation", "--g", "1", "--d", "2", "--b", "0"])
     assert exc.value.code == 2
+    # generator kappa_{a+b} past the packed-monomial index limit
+    code = main(["relation", "--g", "10", "--d", "2", "--b", "1100"])
+    assert code == 2 and "outside 0..1023" in capsys.readouterr().err
 
 
 def test_faber_outputs(capsys):
@@ -168,3 +175,20 @@ def test_outputs_byte_stable(capsys):
     _, a = run(capsys, "relation", "--g", "9", "--d", "2", "--b", "3")
     _, b = run(capsys, "relation", "--g", "9", "--d", "2", "--b", "3")
     assert a == b
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # `tautrel faber --g 18 --rewrite | head -c 50`: the reader is gone
+    # before the output is written
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tautrel.cli", "faber", "--g", "12", "--rewrite"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

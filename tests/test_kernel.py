@@ -1,0 +1,187 @@
+"""Differential and property tests of the packed-monomial KappaPoly kernel.
+
+Every random case is checked against the plain dict-of-Fraction reference
+ring in oracles.py, which shares no code with the library.
+"""
+
+from fractions import Fraction as F
+from functools import cmp_to_key
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tautrel import KappaPoly
+from tautrel.tautring import MAX_INDEX
+
+from oracles import (
+    mono_cmp,
+    ref_add,
+    ref_clean,
+    ref_mul,
+    ref_scale,
+    ref_substitute,
+)
+
+SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+fractions = st.builds(
+    F, st.integers(min_value=-60, max_value=60), st.integers(min_value=1, max_value=12)
+)
+nonzero_fractions = fractions.filter(bool)
+monos = st.dictionaries(
+    st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=4), max_size=3
+).map(lambda d: tuple(sorted(d.items())))
+ref_polys = st.dictionaries(monos, fractions, max_size=6).map(ref_clean)
+mappings = st.dictionaries(
+    st.integers(min_value=1, max_value=6),
+    st.dictionaries(monos, fractions, max_size=3).map(ref_clean),
+    max_size=3,
+)
+
+
+# ------------------------------------------------------- against the reference
+
+@SETTINGS
+@given(ref_polys, ref_polys)
+def test_products_match_reference(p, q):
+    assert (KappaPoly(p) * KappaPoly(q)).terms == ref_mul(p, q)
+
+
+@SETTINGS
+@given(ref_polys, ref_polys)
+def test_sums_and_differences_match_reference(p, q):
+    assert (KappaPoly(p) + KappaPoly(q)).terms == ref_add(p, q)
+    assert (KappaPoly(p) - KappaPoly(q)).terms == ref_add(p, ref_scale(q, F(-1)))
+    assert (-KappaPoly(p)).terms == ref_scale(p, F(-1))
+
+
+@SETTINGS
+@given(ref_polys, fractions)
+def test_scale_matches_reference(p, r):
+    assert KappaPoly(p).scale(r).terms == ref_scale(p, r)
+
+
+@SETTINGS
+@given(ref_polys, mappings)
+def test_substitute_matches_reference(p, mapping):
+    got = KappaPoly(p).substitute({idx: KappaPoly(v) for idx, v in mapping.items()})
+    assert got.terms == ref_substitute(p, mapping)
+
+
+@SETTINGS
+@given(ref_polys, mappings)
+def test_shared_power_cache_matches_fresh(p, mapping):
+    kmap = {idx: KappaPoly(v) for idx, v in mapping.items()}
+    cache = {}
+    first = KappaPoly(p).substitute(kmap, _power_cache=cache)
+    again = KappaPoly(p).substitute(kmap, _power_cache=cache)
+    assert first == again == KappaPoly(p).substitute(kmap)
+
+
+@SETTINGS
+@given(ref_polys)
+def test_terms_view_round_trip(p):
+    poly = KappaPoly(p)
+    view = poly.terms
+    assert view == p and dict(view.items()) == p
+    assert len(view) == len(p) and sorted(view.values()) == sorted(p.values())
+    assert KappaPoly(view) == poly
+    for m, v in p.items():
+        assert view[m] == v and poly.coeff(m) == v and m in view
+
+
+@SETTINGS
+@given(ref_polys)
+def test_sorted_terms_order_matches_comparator(p):
+    got = [m for m, _ in KappaPoly(p).sorted_terms()]
+    assert got == sorted(p, key=cmp_to_key(mono_cmp))
+    assert dict(KappaPoly(p).sorted_terms()) == p
+
+
+# ---------------------------------------------------------------- ring laws
+
+@SETTINGS
+@given(ref_polys, ref_polys, ref_polys)
+def test_ring_laws(p, q, r):
+    a, b, c = KappaPoly(p), KappaPoly(q), KappaPoly(r)
+    one, zero = KappaPoly.scalar(F(1)), KappaPoly.zero()
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * one == a and a + zero == a and (a * zero).is_zero()
+    assert (a - a).is_zero() and a + (-a) == zero
+
+
+@SETTINGS
+@given(ref_polys, nonzero_fractions, nonzero_fractions)
+def test_normal_form_makes_equality_exact(p, r, s):
+    # equal values reached by different routes have equal representations
+    a = KappaPoly(p)
+    assert a.scale(r).scale(1 / r) == a
+    assert a.scale(r).scale(s) == a.scale(r * s)
+    assert a.scale(r) + a.scale(s) == a.scale(r + s)
+
+
+@SETTINGS
+@given(ref_polys, ref_polys, mappings, fractions)
+def test_substitute_is_linear(p, q, mapping, r):
+    kmap = {idx: KappaPoly(v) for idx, v in mapping.items()}
+    a, b = KappaPoly(p), KappaPoly(q)
+    assert (a + b).substitute(kmap) == a.substitute(kmap) + b.substitute(kmap)
+    assert a.scale(r).substitute(kmap) == a.substitute(kmap).scale(r)
+
+
+# ------------------------------------------------------------ encoding edges
+
+def test_without_gen_drops_only_the_bare_generator():
+    k1, k2 = KappaPoly.gen(1), KappaPoly.gen(2)
+    p = (k1 * k1).scale(F(3, 4)) + k2.scale(F(-5, 6)) + (k1 * k2).scale(F(1, 2))
+    rest = p.without_gen(2)
+    assert rest.gen_coeff(2) == 0 and rest.coeff(((1, 1), (2, 1))) == F(1, 2)
+    assert rest + KappaPoly.gen(2, coeff=p.gen_coeff(2)) == p
+    assert p.without_gen(3) == p
+    # dropping a term renormalises the common denominator
+    assert (KappaPoly.gen(1, coeff=F(1, 6)) + k2).without_gen(1) == k2
+
+
+def test_exponents_up_to_the_field_limit_round_trip():
+    p = KappaPoly.gen(1, 127) * KappaPoly.gen(1, 127)
+    assert p.terms == {((1, 254),): 1}
+    assert p.max_gen() == 1 and p.homogeneous_degree() == 254
+    top = KappaPoly.gen(MAX_INDEX, 3) * KappaPoly.gen(0, 2)
+    assert top.terms == {((0, 2), (MAX_INDEX, 3)): 1}
+    assert top.max_gen() == MAX_INDEX
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (KappaPoly.gen(1, 128), KappaPoly.gen(1)),
+        (KappaPoly.gen(1), KappaPoly.gen(1, 200)),
+        (KappaPoly.gen(0, 130), KappaPoly.gen(0, 130)),
+        (KappaPoly.gen(3, 128) + KappaPoly.gen(1), KappaPoly.gen(3, 128)),
+    ],
+)
+def test_product_overflow_raises_instead_of_aliasing(left, right):
+    # without the guard 128 + 128 in the kappa_1 field would carry into kappa_2
+    with pytest.raises(OverflowError):
+        left * right
+
+
+def test_substitute_overflow_raises_instead_of_aliasing():
+    with pytest.raises(OverflowError):
+        KappaPoly.gen(2, 100).substitute({2: KappaPoly.gen(1, 2)})
+
+
+def test_unrepresentable_monomials_are_rejected():
+    with pytest.raises(ValueError):
+        KappaPoly.gen(MAX_INDEX + 1)
+    with pytest.raises(ValueError):
+        KappaPoly.gen(1, 256)
+    with pytest.raises(ValueError):
+        KappaPoly({((1, 1), (1, 2)): F(1)})
+    assert KappaPoly.gen(2).coeff(((MAX_INDEX + 1, 1),)) == 0
+    assert KappaPoly.gen(2).gen_coeff(-1) == 0
