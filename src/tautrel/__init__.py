@@ -18,6 +18,7 @@ from .coeffs import (
     diag_ode_residual,
     expand_closed_form,
     expand_w_deriv_closed,
+    ode_check_failures,
     ode_residual,
     p_series,
     q_functional_equation_residual,
@@ -37,6 +38,7 @@ from .tautring import (
     extract_relation_from_ode,
     kappa_exponential,
     relation_json,
+    relation_window,
 )
 from .relations import (
     FaberChoice,
@@ -44,6 +46,7 @@ from .relations import (
     GeneratorExpression,
     IndependenceReport,
     ScanReport,
+    cross_pipeline_check,
     faber_choose,
     faber_solve,
     independence_report,

@@ -152,24 +152,14 @@ def _cmd_verify(args) -> int:
                 print(f"FAIL identities: {rep.failures[0]}")
         elif suite == "ode":
             n = args.order
-            alpha = co.solve_series_ode(n, n)
-            q = co.build_q_table(max(n - 1, 1))
-            c = co.build_c_table(q)
-            ok = True
-            if not co.ode_residual(alpha).is_zero():
-                ok = False
-                print("FAIL ode: nonzero residual in the defining equation")
-            if alpha.to_series() != co.expand_closed_form(c, n, n):
-                ok = False
-                print("FAIL ode: closed form differs from the solved series")
-            gw = alpha.to_series().derivative(1)
-            if gw != co.expand_w_deriv_closed(q, n, n).truncate((n, n - 1)):
-                ok = False
-                print("FAIL ode: derivative closed form differs")
-            if ok:
-                print(f"PASS ode: alpha vs closed-form: match through ({n},{n})")
-            else:
+            q = co.build_q_table(n - 1)
+            bad = co.ode_check_failures(q, co.build_c_table(q), n)
+            for msg in bad:
+                print(f"FAIL ode: {msg}")
+            if bad:
                 failures += 1
+            else:
+                print(f"PASS ode: alpha vs closed-form: match through ({n},{n})")
         elif suite == "genfunc":
             q = co.build_q_table(args.order)
             c = co.build_c_table(q)
@@ -189,7 +179,9 @@ def _cmd_verify(args) -> int:
                 failures += 1
                 print("FAIL genfunc: diagonal generating series mismatch")
         elif suite == "crosscheck":
-            bad = _crosscheck(min(args.order, 14))
+            g_max = min(args.order, 14)
+            q = co.build_q_table(max(g_max, 1))
+            _, bad = rel.cross_pipeline_check(q, co.build_c_table(q), g_max)
             if bad is None:
                 print("PASS crosscheck: both extraction pipelines proportional")
             else:
@@ -198,45 +190,15 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _crosscheck(g_max: int) -> str | None:
-    """Compare the two extraction pipelines on a small grid; None when clean."""
-    for g in range(4, g_max + 1):
-        q = co.build_q_table(g)
-        c = co.build_c_table(q)
-        alpha = co.solve_series_ode(g, (g + 2) // 2)
-        for d in range(2, (g + 2) // 2 + 1):
-            for b in range(0, 4):
-                x_exp = (g + 1 - 2 * d) if b == 0 else (g + 2 - 2 * d)
-                if x_exp < 0:
-                    continue
-                r1 = tr.extract_relation(g, d, b, q, c)
-                r2 = tr.extract_relation_from_ode(g, d, b, alpha)
-                sign = (-1) ** d
-                if r2.poly != r1.poly.scale(sign):
-                    return f"(g={g}, d={d}, b={b}) pipelines disagree"
-    return None
-
-
 def _cmd_relation(args) -> int:
-    if args.psi:
-        a_exp = args.g + 2 - 2 * args.d
-    else:
-        a_exp = (args.g + 1 - 2 * args.d) if args.b == 0 else (args.g + 2 - 2 * args.d)
-    if a_exp < 0:
-        print(
-            f"error: relation out of range for (g={args.g}, d={args.d}, b={args.b})",
-            file=sys.stderr,
-        )
-        return 2
-    size = max(a_exp, 1)
-    q = co.build_q_table(size)
-    c = co.build_c_table(q)
     try:
+        q = co.build_q_table(max(tr.relation_window(args.g, args.d, args.b, args.psi), 1))
+        c = co.build_c_table(q)
         if args.psi:
             out = tr.extract_psi_relation(args.g, args.d, q, c)
         else:
             out = tr.extract_relation(args.g, args.d, args.b, q, c)
-    except ValueError as exc:  # e.g. a generator index past tr.MAX_INDEX
+    except ValueError as exc:  # out of range, or a generator index past tr.MAX_INDEX
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(tr.relation_json(out))
@@ -317,11 +279,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _validate(parser: argparse.ArgumentParser, args) -> None:
     if args.command == "coeffs":
-        if args.max_k < 0 or (args.table == "c" and args.max_k < 1):
+        if args.max_k < (1 if args.table in ("c", "alpha") else 0):
             parser.error(f"--max-k {args.max_k} out of range for table {args.table}")
     elif args.command == "verify":
-        if args.order < 1:
-            parser.error("--order must be >= 1")
+        if args.order < (2 if args.suite in ("ode", "all") else 1):
+            parser.error(f"--order {args.order} out of range for suite {args.suite}")
     elif args.command == "relation":
         if args.g < 2 or args.d < 2 or args.b < 0:
             parser.error("need --g >= 2, --d >= 2, --b >= 0")

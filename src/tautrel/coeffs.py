@@ -34,6 +34,7 @@ __all__ = [
     "expand_closed_form",
     "p_series",
     "ode_residual",
+    "ode_check_failures",
     "q_functional_equation_residual",
     "diag_ode_residual",
     "remark_identity_failures",
@@ -58,13 +59,6 @@ class QTable:
             raise ValueError(f"q table sized {self.k_max}, need k={k}")
         return self.rows[k][j]
 
-    def to_csv(self) -> str:
-        lines = ["k,j,value"]
-        for k in range(self.k_max + 1):
-            for j in range(k + 1):
-                lines.append(f"{k},{j},{self.rows[k][j]}")
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class CTable:
@@ -83,13 +77,6 @@ class CTable:
         if j > k:
             return _ZERO
         return self.rows[k - 1][j]
-
-    def to_csv(self) -> str:
-        lines = ["k,j,value"]
-        for k in range(1, self.k_max + 1):
-            for j in range(k + 1):
-                lines.append(f"{k},{j},{self.rows[k - 1][j]}")
-        return "\n".join(lines)
 
 
 def _conv(a: list[int] | tuple[int, ...], b: list[int] | tuple[int, ...]) -> list[int]:
@@ -176,14 +163,6 @@ class AlphaTable:
                 if v:
                     terms[(k, j)] = v
         return BiSeries(("x", "w"), self.orders, terms)
-
-    def to_csv(self) -> str:
-        lines = ["k,j,value"]
-        n_x, n_w = self.orders
-        for k in range(n_x + 1):
-            for j in range(n_w + 1):
-                lines.append(f"{k},{j},{self.entries[k][j]}")
-        return "\n".join(lines)
 
 
 def solve_series_ode(n_x: int, n_w: int) -> AlphaTable:
@@ -324,6 +303,25 @@ def ode_residual(alpha: AlphaTable) -> BiSeries:
     t3 = fw_w - fw.shift(0, 1).truncate(window)
     one = BiSeries.one(("x", "w"), window)
     return t1 - t2 - t3 + one
+
+
+def ode_check_failures(q: QTable, c: CTable, n: int) -> list[str]:
+    """Solve the ODE through (n, n) and check it three ways; [] when all hold.
+
+    The residual of the defining equation must vanish, the solution must
+    equal its closed form in c, and its w-derivative the closed form in q.
+    Needs n >= 2 and both tables sized n - 1 or more.
+    """
+    alpha = solve_series_ode(n, n)
+    series = alpha.to_series()
+    failures = []
+    if not ode_residual(alpha).is_zero():
+        failures.append("nonzero residual in the defining equation")
+    if series != expand_closed_form(c, n, n):
+        failures.append("closed form differs from the solved series")
+    if series.derivative(1) != expand_w_deriv_closed(q, n, n).truncate((n, n - 1)):
+        failures.append("derivative closed form differs")
+    return failures
 
 
 def q_functional_equation_residual(q: QTable, n_x: int, n_u: int) -> BiSeries:

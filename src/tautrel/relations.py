@@ -16,11 +16,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .coeffs import CTable, QTable
+from .coeffs import CTable, QTable, solve_series_ode
 from .tautring import (
     KappaPoly,
     extract_relation,
+    extract_relation_from_ode,
     kappa_exponential,
+    relation_window,
     weighted_monomials,
 )
 
@@ -36,6 +38,7 @@ __all__ = [
     "independence_report",
     "weighted_monomials",
     "rank_exact",
+    "cross_pipeline_check",
 ]
 
 
@@ -110,7 +113,7 @@ def faber_solve(
     if not targets:
         return []
     choices = [faber_choose(g, a) for a in targets]
-    n_x = max((ch.g + 1 - 2 * ch.d) if ch.b == 0 else (ch.g + 2 - 2 * ch.d) for ch in choices)
+    n_x = max(relation_window(g, ch.d, ch.b) for ch in choices)
     n_u = max(ch.d for ch in choices)
     shared = kappa_exponential(c, n_x, n_u)
 
@@ -285,15 +288,11 @@ def independence_report(g: int, a: int, q: QTable, c: CTable) -> IndependenceRep
     if g < 2 or a < 1:
         raise ValueError("need g >= 2 and a >= 1")
     rep = IndependenceReport(g=g, a=a)
-    cells = []
-    for d in range(2, (g + 2) // 2 + 1):
-        b = a + 2 * d - g - 1
-        if b < 0:
-            continue
-        x_exp = (g + 1 - 2 * d) if b == 0 else (g + 2 - 2 * d)
-        if x_exp < 0:
-            continue
-        cells.append((d, b, x_exp))
+    cells = [
+        (d, b, relation_window(g, d, b))
+        for d in range(2, (g + 2) // 2 + 1)
+        if (b := a + 2 * d - g - 1) >= 0
+    ]
     if not cells:
         return rep
     n_x = max(x for (_, _, x) in cells)
@@ -312,3 +311,33 @@ def independence_report(g: int, a: int, q: QTable, c: CTable) -> IndependenceRep
         rows = [[p.coeff(mono) for mono in basis] for p in polys]
         rep.rank = rank_exact(rows)
     return rep
+
+
+def cross_pipeline_check(q: QTable, c: CTable, g_max: int) -> tuple[int, str | None]:
+    """Compare the exponential and ODE extraction pipelines cell by cell.
+
+    Every (g, d, b) with 2 <= g <= g_max and b <= 4 is extracted both
+    ways, from one shared exponential and one alpha table; the ODE
+    relation must equal (-1)^d times the exponential one.  Returns the
+    number of cells that agree and the first mismatch, or None.
+    """
+    cells = []
+    for g in range(2, g_max + 1):
+        for d in range(2, (g + 2) // 2 + 1):
+            for b in range(0, 5):
+                try:
+                    cells.append((g, d, b, relation_window(g, d, b)))
+                except ValueError:  # this (g, d, b) has no cell
+                    continue
+    if not cells:
+        return 0, None
+    n_x = max(n for *_, n in cells)
+    n_u = max(d for _, d, _, _ in cells)
+    shared = kappa_exponential(c, n_x, n_u)
+    alpha = solve_series_ode(n_x + 1, n_u)
+    for checked, (g, d, b, _) in enumerate(cells):
+        r1 = extract_relation(g, d, b, q, c, exp_series=shared)
+        r2 = extract_relation_from_ode(g, d, b, alpha)
+        if r2.poly != r1.poly.scale((-1) ** d):
+            return checked, f"(g={g}, d={d}, b={b}) pipelines disagree"
+    return len(cells), None

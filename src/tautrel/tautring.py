@@ -48,6 +48,7 @@ __all__ = [
     "PsiRelation",
     "DiagonalRelation",
     "kappa_exponential",
+    "relation_window",
     "extract_relation",
     "extract_psi_relation",
     "extract_relation_from_ode",
@@ -531,57 +532,65 @@ def _convolve_cell(
     return _sum_of_products(pairs)
 
 
-def _second_factor(
-    g: int, b: int, q: QTable, n_x: int, n_u: int
-) -> dict[tuple[int, int], KappaPoly]:
-    """kappa_{b-1} - 2 sum_{a>=0} kappa_{a+b} x^(a+1) sum_{j<=a} q[a][j] u^(j+1)."""
+def relation_window(g: int, d: int, b: int = 0, psi: bool = False) -> int:
+    """The x-exponent n of the cell (x^n, u^d) holding the (g, d, b) relation.
+
+    The plain exponential (b = 0) is read at n = g+1-2d; the exponential
+    times the second factor (b >= 1, and every psi relation) at
+    n = g+2-2d.  Raises ValueError unless g >= 2, d >= 2, b >= 0 and n >= 0.
+    """
+    if g < 2 or d < 2 or b < 0:
+        raise ValueError("need g >= 2, d >= 2, b >= 0")
+    n = (g + 1 - 2 * d) if b == 0 and not psi else (g + 2 - 2 * d)
+    if n < 0:
+        raise ValueError(f"relation out of range for (g={g}, d={d}, b={b})")
+    return n
+
+
+def _extract(
+    g: int, d: int, b: int, psi: bool, q: QTable, c: CTable, exp_series: PolySeries | None
+) -> KappaPoly:
+    """Cell (x^n, u^d) of the exponential, times the second factor unless b = 0.
+
+    The second factor is lead - 2 sum_{a>=0} gen_a x^(a+1) sum_{j<=a} q[a][j] u^(j+1)
+    with lead kappa_{b-1} and gen_a kappa_{a+b}, or for psi lead 1 and
+    gen_a psi^(a+1).
+    """
+    n = relation_window(g, d, b, psi)
+    if exp_series is None:
+        exp_series = kappa_exponential(c, n, d)
+    elif not exp_series.covers(n, d):
+        raise ValueError(f"shared exponential orders {exp_series.orders} too small")
+    if b == 0 and not psi:
+        return exp_series.coeff(n, d)
     f2: dict[tuple[int, int], KappaPoly] = {}
-    lead = _kappa_symbol(b - 1, g)
+    lead = _UNIT_POLY if psi else _kappa_symbol(b - 1, g)
     if not lead.is_zero():
         f2[(0, 0)] = lead
-    for a2 in range(0, n_x):
-        for j in range(0, min(a2, n_u - 1) + 1):
+    for a2 in range(0, n):
+        for j in range(0, min(a2, d - 1) + 1):
             qv = q.get(a2, j)
             if not qv:
                 continue
-            f2[(a2 + 1, j + 1)] = _kappa_symbol(a2 + b, g, coeff=Fraction(-2 * qv))
-    return f2
+            coeff = Fraction(-2 * qv)
+            gen = KappaPoly.gen(0, a2 + 1, coeff) if psi else _kappa_symbol(a2 + b, g, coeff)
+            f2[(a2 + 1, j + 1)] = gen
+    return _convolve_cell(exp_series, f2, n, d)
 
 
 def extract_relation(
-    g: int,
-    d: int,
-    b: int,
-    q: QTable,
-    c: CTable,
-    exp_series: PolySeries | None = None,
-    general_b0: bool = False,
+    g: int, d: int, b: int, q: QTable, c: CTable, exp_series: PolySeries | None = None
 ) -> TautRelation:
     """Extract the (g, d, b) relation from the exponential generating series.
 
     For b = 0 the plain exponential is read at (x^(g+1-2d), u^d); for
-    b >= 1 (or with general_b0, the b = 0 instance of the same formula)
-    the exponential times the second factor is read at (x^(g+2-2d), u^d).
-    The zero polynomial is a legal, degenerate result.
+    b >= 1 the exponential times the second factor is read at
+    (x^(g+2-2d), u^d).  The zero polynomial is a legal, degenerate result.
 
     ``exp_series`` may carry a precomputed exponential of sufficient
     orders so grids of extractions can share one.
     """
-    if g < 2 or d < 2 or b < 0:
-        raise ValueError("need g >= 2, d >= 2, b >= 0")
-    simple = b == 0 and not general_b0
-    a_exp = (g + 1 - 2 * d) if simple else (g + 2 - 2 * d)
-    if a_exp < 0:
-        raise ValueError(f"relation out of range for (g={g}, d={d}, b={b})")
-    if exp_series is None:
-        exp_series = kappa_exponential(c, a_exp, d)
-    elif not exp_series.covers(a_exp, d):
-        raise ValueError(f"shared exponential orders {exp_series.orders} too small")
-    if simple:
-        poly = exp_series.coeff(a_exp, d)
-    else:
-        f2 = _second_factor(g, b, q, a_exp, d)
-        poly = _convolve_cell(exp_series, f2, a_exp, d)
+    poly = _extract(g, d, b, False, q, c, exp_series)
     return TautRelation(g=g, d=d, b=b, degree=g + 1 + b - 2 * d, poly=poly)
 
 
@@ -589,26 +598,8 @@ def extract_psi_relation(
     g: int, d: int, q: QTable, c: CTable, exp_series: PolySeries | None = None
 ) -> PsiRelation:
     """Pointed-curve relation with psi (generator 0) kept symbolic."""
-    if g < 2 or d < 2:
-        raise ValueError("need g >= 2, d >= 2")
-    a_exp = g + 2 - 2 * d
-    if a_exp < 0:
-        raise ValueError(f"relation out of range for (g={g}, d={d})")
-    if exp_series is None:
-        exp_series = kappa_exponential(c, a_exp, d)
-    elif not exp_series.covers(a_exp, d):
-        raise ValueError(f"shared exponential orders {exp_series.orders} too small")
-    f2: dict[tuple[int, int], KappaPoly] = {(0, 0): KappaPoly.scalar(_ONE)}
-    for a2 in range(0, a_exp):
-        for j in range(0, min(a2, d - 1) + 1):
-            qv = q.get(a2, j)
-            if not qv:
-                continue
-            f2[(a2 + 1, j + 1)] = KappaPoly.gen(
-                0, exponent=a2 + 1, coeff=Fraction(-2 * qv)
-            )
-    poly = _convolve_cell(exp_series, f2, a_exp, d)
-    return PsiRelation(g=g, d=d, degree=a_exp, poly=poly)
+    poly = _extract(g, d, 0, True, q, c, exp_series)
+    return PsiRelation(g=g, d=d, degree=relation_window(g, d, psi=True), poly=poly)
 
 
 def extract_relation_from_ode(g: int, d: int, b: int, alpha: AlphaTable) -> TautRelation:
@@ -622,11 +613,7 @@ def extract_relation_from_ode(g: int, d: int, b: int, alpha: AlphaTable) -> Taut
     agree with extract_relation up to the sign (-1)^d coming from the
     change of variables between the two coordinate systems.
     """
-    if g < 2 or d < 2 or b < 0:
-        raise ValueError("need g >= 2, d >= 2, b >= 0")
-    t_exp = (g + 1 - 2 * d) if b == 0 else (g + 2 - 2 * d)
-    if t_exp < 0:
-        raise ValueError(f"relation out of range for (g={g}, d={d}, b={b})")
+    t_exp = relation_window(g, d, b)
     n_x, n_w = alpha.orders
     if n_x < t_exp + 1 or n_w < d:
         raise ValueError(f"alpha table sized {alpha.orders}, need ({t_exp + 1}, {d})")
@@ -667,11 +654,8 @@ def extract_relation_from_ode(g: int, d: int, b: int, alpha: AlphaTable) -> Taut
                 if not av:
                     continue
                 term = _kappa_symbol(a2 + b - 1, g, coeff=2 * j * av)
-                if term.is_zero():
-                    continue
-                key = (a2, j)
-                prev = f2.get(key)
-                f2[key] = term if prev is None else prev + term
+                if not term.is_zero():
+                    f2[(a2, j)] = term
         poly = _convolve_cell(e_full, f2, t_exp, d)
     return TautRelation(g=g, d=d, b=b, degree=g + 1 + b - 2 * d, poly=poly)
 
@@ -712,7 +696,7 @@ def extract_diagonal_relation(g: int, b: int, a: int, c: CTable) -> DiagonalRela
         if not lead.is_zero():
             f2[b - 1] = lead
         if b <= a:
-            f2[b] = f2.get(b, KappaPoly()) + KappaPoly.gen(b, coeff=Fraction(-2))
+            f2[b] = KappaPoly.gen(b, coeff=Fraction(-2))
         for j in range(1, a - b + 1):
             cv = c.get(j, j)
             if cv:
@@ -728,20 +712,11 @@ def extract_diagonal_relation(g: int, b: int, a: int, c: CTable) -> DiagonalRela
 
 def relation_json(rel: TautRelation | PsiRelation) -> str:
     """Canonical one-line JSON for a relation; byte-stable across runs."""
+    obj = {"g": rel.g, "d": rel.d}
     if isinstance(rel, PsiRelation):
-        obj = {
-            "g": rel.g,
-            "d": rel.d,
-            "psi": True,
-            "degree": rel.degree,
-            "terms": terms_json(rel.poly),
-        }
+        obj["psi"] = True
     else:
-        obj = {
-            "g": rel.g,
-            "d": rel.d,
-            "b": rel.b,
-            "degree": rel.degree,
-            "terms": terms_json(rel.poly),
-        }
+        obj["b"] = rel.b
+    obj["degree"] = rel.degree
+    obj["terms"] = terms_json(rel.poly)
     return json.dumps(obj, separators=(",", ":"))

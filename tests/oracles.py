@@ -57,9 +57,13 @@ def _mono_mul_gen(mono, gen, scale):
     return tuple(sorted(d.items())), scale
 
 
-def oracle_extract(g, d, b, q, c):
-    """Monomial map of the (g, d, b) relation; b=0 uses the plain exponential."""
-    if b == 0:
+def oracle_extract(g, d, b, q, c, general=False):
+    """Monomial map of the (g, d, b) relation.
+
+    b=0 uses the plain exponential, unless ``general`` asks for the b=0
+    instance of the b >= 1 formula, whose lead kappa_{-1} = 0 drops out.
+    """
+    if b == 0 and not general:
         return oracle_exp_cell(c, g + 1 - 2 * d, d)
     A = g + 2 - 2 * d
     total = {}
@@ -68,12 +72,13 @@ def oracle_extract(g, d, b, q, c):
         total[mono] = total.get(mono, Fraction(0)) + v
 
     lead_scale = Fraction(2 * g - 2) if b == 1 else Fraction(1)
-    for mono, v in oracle_exp_cell(c, A, d).items():
-        if b == 1:
-            add(mono, v * lead_scale)
-        else:
-            m2, vv = _mono_mul_gen(mono, b - 1, v)
-            add(m2, vv)
+    if b >= 1:  # at b = 0 the lead kappa_{b-1} is kappa_{-1} = 0
+        for mono, v in oracle_exp_cell(c, A, d).items():
+            if b == 1:
+                add(mono, v * lead_scale)
+            else:
+                m2, vv = _mono_mul_gen(mono, b - 1, v)
+                add(m2, vv)
     for a2 in range(0, A):
         for j in range(0, min(a2, d - 1) + 1):
             qv = q.get(a2, j)

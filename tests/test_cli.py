@@ -171,6 +171,18 @@ def test_verify_suites(capsys):
         main(["verify", "--suite", "identities", "--order", "0"])
 
 
+def test_orders_too_small_for_the_table_exit_2():
+    # the ode suite needs a w-order of 2; the alpha table an order of 1
+    for argv in (
+        ["verify", "--suite", "ode", "--order", "1"],
+        ["verify", "--suite", "all", "--order", "1"],
+        ["coeffs", "--table", "alpha", "--max-k", "0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+
+
 def test_outputs_byte_stable(capsys):
     _, a = run(capsys, "relation", "--g", "9", "--d", "2", "--b", "3")
     _, b = run(capsys, "relation", "--g", "9", "--d", "2", "--b", "3")

@@ -4,12 +4,15 @@ from pathlib import Path
 import pytest
 
 from tautrel import (
+    CTable,
+    QTable,
     bernoulli_table,
     build_c_table,
     build_q_table,
     diag_ode_residual,
     expand_closed_form,
     expand_w_deriv_closed,
+    ode_check_failures,
     ode_residual,
     p_series,
     q_functional_equation_residual,
@@ -186,3 +189,18 @@ def test_verify_identities_medium():
 def test_verify_identities_rejects_bad_order():
     with pytest.raises(ValueError):
         verify_coeff_identities(0)
+
+
+def test_ode_check_failures_catch_wrong_tables():
+    q = build_q_table(7)
+    c = build_c_table(q)
+    assert ode_check_failures(q, c, 8) == []
+    rows = [list(r) for r in c.rows]
+    rows[2][1] += 1  # c[3][1]
+    wrong_c = CTable(c.k_max, tuple(tuple(r) for r in rows))
+    assert ode_check_failures(q, wrong_c, 8) == ["closed form differs from the solved series"]
+    rows = [list(r) for r in q.rows]
+    rows[3][1] += 1  # q[3][1]
+    wrong_q = QTable(q.k_max, tuple(tuple(r) for r in rows))
+    assert ode_check_failures(wrong_q, c, 8) == ["derivative closed form differs"]
+

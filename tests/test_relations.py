@@ -3,8 +3,10 @@ from fractions import Fraction as F
 import pytest
 
 from tautrel import (
+    CTable,
     FaberConsistencyError,
     KappaPoly,
+    cross_pipeline_check,
     extract_relation,
     faber_choose,
     faber_solve,
@@ -211,3 +213,19 @@ def test_faber_consistency_error_is_raised_on_fabricated_zero(q20, c20):
     assert rel.poly.gen_coeff(1) == 0
     with pytest.raises(FaberConsistencyError):
         raise FaberConsistencyError("synthetic")
+
+
+# ------------------------------------------------------ cross-pipeline check
+
+def test_cross_pipeline_check_catches_one_wrong_c_entry(q20, c20):
+    cells, mismatch = cross_pipeline_check(q20, c20, 8)
+    assert mismatch is None and cells > 40
+    # c[2][1] off by one reaches the exponential route only: the ODE route
+    # solves its own alpha table
+    rows = [list(r) for r in c20.rows]
+    rows[1][1] += 1
+    wrong = CTable(c20.k_max, tuple(tuple(r) for r in rows))
+    checked, mismatch = cross_pipeline_check(q20, wrong, 8)
+    assert checked < cells
+    assert mismatch is not None and mismatch.endswith("pipelines disagree")
+

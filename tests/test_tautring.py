@@ -12,6 +12,7 @@ from tautrel import (
     extract_relation_from_ode,
     kappa_exponential,
     relation_json,
+    relation_window,
     solve_series_ode,
 )
 
@@ -102,12 +103,25 @@ def test_relation_homogeneity_grid(q20, c20):
     for g in range(2, 13):
         for d in range(2, (g + 2) // 2 + 1):
             for b in range(0, 4):
-                x_exp = (g + 1 - 2 * d) if b == 0 else (g + 2 - 2 * d)
-                if x_exp < 0:
+                try:
+                    relation_window(g, d, b)
+                except ValueError:
                     continue
                 r = extract_relation(g, d, b, q20, c20, exp_series=shared)
                 if not r.poly.is_zero():
                     assert r.poly.homogeneous_degree() == g + 1 + b - 2 * d
+
+
+def test_relation_window():
+    assert relation_window(5, 2) == 2
+    assert relation_window(5, 2, 1) == 3
+    assert relation_window(5, 2, psi=True) == 3
+    assert relation_window(4, 3, 2) == 0
+    with pytest.raises(ValueError, match="out of range"):
+        relation_window(4, 3)
+    for g, d, b in [(1, 2, 0), (4, 1, 0), (4, 2, -1)]:
+        with pytest.raises(ValueError, match="need"):
+            relation_window(g, d, b)
 
 
 def test_relation_range_errors(q20, c20):
@@ -126,19 +140,20 @@ def test_relation_shared_exponential_too_small(q20, c20):
 
 
 def test_general_b0_is_proportional(q20, c20):
-    # the b=0 instance of the general formula vs the plain exponential form;
-    # the observed ratio is recorded, not asserted against any formula
+    # the b=0 instance of the general formula (enumerated by the oracle) vs
+    # the plain exponential form; the observed ratio is recorded, not
+    # asserted against any formula
     observed = []
     for (g, d) in [(5, 2), (7, 3), (8, 2), (11, 3)]:
         simple = extract_relation(g, d, 0, q20, c20)
-        general = extract_relation(g, d, 0, q20, c20, general_b0=True)
+        general = KappaPoly(oracle_extract(g, d, 0, q20, c20, general=True))
         if simple.poly.is_zero():
-            assert general.poly.is_zero()
+            assert general.is_zero()
             continue
         mono, lead = simple.poly.sorted_terms()[0]
-        ratio = general.poly.coeff(mono) / lead
+        ratio = general.coeff(mono) / lead
         assert ratio != 0
-        assert general.poly == simple.poly.scale(ratio), (g, d)
+        assert general == simple.poly.scale(ratio), (g, d)
         observed.append(((g, d), ratio))
     assert observed  # at least one nonzero instance compared
 
@@ -239,7 +254,9 @@ def test_no_low_monomials_for_large_b(q20, c20):
     for g in range(6, 13):
         for d in range(2, (g + 2) // 2 + 1):
             for b in range(3, 6):
-                if g + 2 - 2 * d < 0:
+                try:
+                    relation_window(g, d, b)
+                except ValueError:
                     continue
                 r = extract_relation(g, d, b, q20, c20, exp_series=shared)
                 if r.poly.is_zero():
