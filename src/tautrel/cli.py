@@ -3,12 +3,14 @@
 Exit codes: 0 success, 1 a mathematical check failed, 2 usage error.
 The coefficient-table cache lives under --cache-dir (or TAUTREL_CACHE_DIR);
 a cached table built at a larger size serves any smaller request with
-byte-identical output.
+byte-identical output.  Each cache file records the row count and sha256
+of its body; a file that fails that check is recomputed, never served.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -19,7 +21,7 @@ from . import relations as rel
 from . import tautring as tr
 from .exact import bernoulli_table
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 _TABLE_KINDS = ("q", "c", "alpha", "p", "bernoulli")
 
 
@@ -71,14 +73,47 @@ def _cache_path(cache_dir: Path, kind: str, k_max: int) -> Path:
     return cache_dir / f"{kind}-{k_max}.csv"
 
 
+def _cache_meta(kind: str, k_max: int, body: bytes) -> bytes:
+    """Metadata line that pins the body: its row count and its sha256."""
+    # Imported here, not at the top: hashlib loads OpenSSL, about 3 MB of
+    # resident memory that commands without a cache would pay for nothing.
+    import hashlib
+
+    rows = body.count(b"\n") - 1  # lines after the header
+    digest = hashlib.sha256(body).hexdigest()
+    return (
+        f"# kind={kind} k_max={k_max} version={CACHE_VERSION}"
+        f" rows={rows} sha256={digest}\n"
+    ).encode()
+
+
 def _cache_save(cache_dir: Path, kind: str, k_max: int, rows: list[tuple]) -> None:
+    """Write the table beside its final name, then rename it into place.
+
+    The rename is atomic, so a reader sees the old file or the whole new
+    one, never a partial write.
+    """
     cache_dir.mkdir(parents=True, exist_ok=True)
-    body = _rows_to_csv(kind, rows)
-    meta = f"# kind={kind} k_max={k_max} version={CACHE_VERSION}"
-    _cache_path(cache_dir, kind, k_max).write_text(meta + "\n" + body + "\n")
+    body = (_rows_to_csv(kind, rows) + "\n").encode()
+    path = _cache_path(cache_dir, kind, k_max)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(_cache_meta(kind, k_max, body) + body)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
+
 
 def _cache_load(cache_dir: Path, kind: str, k_max: int) -> list[tuple] | None:
-    """Smallest cached table of this kind with k_max >= requested, truncated."""
+    """Smallest cached table of this kind with k_max >= requested, truncated.
+
+    A file of another version is a silent miss.  A file whose metadata
+    line does not match its name and body (kind, k_max, row count and
+    sha256) is corrupt: it is removed with a warning on stderr and counts
+    as a miss, so the caller recomputes and rewrites the table.
+    """
     if not cache_dir.is_dir():
         return None
     best: tuple[int, Path] | None = None
@@ -91,13 +126,17 @@ def _cache_load(cache_dir: Path, kind: str, k_max: int) -> list[tuple] | None:
             best = (cached_max, path)
     if best is None:
         return None
-    lines = best[1].read_text().splitlines()
-    if not lines or not lines[0].startswith(f"# kind={kind} "):
+    cached_max, path = best
+    meta, _, body = path.read_bytes().partition(b"\n")
+    if f"version={CACHE_VERSION}".encode() not in meta.split(b" "):
         return None
-    if f"version={CACHE_VERSION}" not in lines[0]:
+    if meta + b"\n" != _cache_meta(kind, cached_max, body):
+        print(f"warning: cache file {path} is corrupt; recomputing", file=sys.stderr)
+        with contextlib.suppress(OSError):
+            path.unlink()
         return None
     rows: list[tuple] = []
-    for line in lines[2:]:  # skip metadata + header
+    for line in body.decode().splitlines()[1:]:  # skip the header
         parts = line.split(",")
         if len(parts) == 3:
             k, j, v = int(parts[0]), int(parts[1]), parts[2]
@@ -287,6 +326,8 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
     elif args.command == "relation":
         if args.g < 2 or args.d < 2 or args.b < 0:
             parser.error("need --g >= 2, --d >= 2, --b >= 0")
+        if args.psi and args.b:
+            parser.error("--b does not apply to --psi relations")
     elif args.command == "faber":
         if args.g < 2:
             parser.error("need --g >= 2")

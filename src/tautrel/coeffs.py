@@ -105,10 +105,13 @@ def build_q_table(k_max: int) -> QTable:
     for k in range(1, k_max + 1):
         kk = k - 1
         # conv_row[j] = sum_{m+m'=kk, l+l'=j} q[m][l]*q[m'][l']
+        # The sum is symmetric in m <-> kk - m: take m <= kk/2, doubling
+        # every pair but the middle one.
         conv_row = [0] * (kk + 1)
-        for m in range(kk + 1):
+        for m in range(kk // 2 + 1):
+            weight = 1 if 2 * m == kk else 2
             for l, v in enumerate(_conv(rows[m], rows[kk - m])):
-                conv_row[l] += v
+                conv_row[l] += weight * v
         prev = rows[kk]
         row = []
         for j in range(k + 1):
@@ -176,6 +179,12 @@ def solve_series_ode(n_x: int, n_w: int) -> AlphaTable:
     so each F_d is the known right side times the geometric series
     1/(1 - d*x).  The d = 0 slice is the prescribed initial data
     F_0(x) = -sum_{a>=2} B_a/(a(a-1)) x^a.
+
+    Two identities keep the solve cheap.  The weights of l and d - l agree,
+    C(d-1,l)*l = C(d-1,d-l)*(d-l) = (d-1)!/((l-1)!(d-l-1)!), so each
+    product F_l*F_{d-l} is formed once, for l <= d/2, with its weight
+    doubled when l != d - l.  And multiplying by 1/(1 - d*x) is the O(n)
+    recurrence out[k] = rhs[k] + d*out[k-1], not a dense product.
     """
     if n_x < 1 or n_w < 1:
         raise ValueError("orders must be >= 1")
@@ -188,11 +197,13 @@ def solve_series_ode(n_x: int, n_w: int) -> AlphaTable:
         rhs = UniSeries.zero("x", n_x)
         if d == 1:
             rhs = UniSeries.from_terms("x", n_x, {0: Fraction(1)})
-        for l in range(1, d):
-            prod = slices[l] * slices[d - l]
-            rhs = rhs - prod.scale(Fraction(comb(d - 1, l) * l))
-        geom = UniSeries("x", n_x, [Fraction(d) ** m for m in range(n_x + 1)])
-        slices.append(rhs * geom)
+        for l in range(1, d // 2 + 1):
+            weight = comb(d - 1, l) * l * (1 if 2 * l == d else 2)
+            rhs = rhs - (slices[l] * slices[d - l]).scale(Fraction(weight))
+        out = list(rhs.coeffs)
+        for k in range(1, n_x + 1):
+            out[k] += d * out[k - 1]
+        slices.append(UniSeries("x", n_x, out))
     entries = tuple(
         tuple(slices[j].coeffs[k] / factorial(j) for j in range(n_w + 1))
         for k in range(n_x + 1)

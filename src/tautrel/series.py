@@ -8,7 +8,8 @@ between orders deliberately.  All values are immutable by convention.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator
+from math import lcm
+from typing import Collection, Iterable, Iterator
 
 __all__ = [
     "UniSeries",
@@ -20,6 +21,24 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _over_common_den(values: Collection[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of values over the lcm of their denominators."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _add_convolution(out: list[int], a: list[int], b: list[int]) -> None:
+    """out[i + j] += a[i] * b[j] for every i + j < len(out)."""
+    n = len(out)
+    nonzero_b = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in nonzero_b:
+                if i + j >= n:
+                    break
+                out[i + j] += x * y
 
 
 def binomial_series_coeffs(c: Fraction, e: Fraction, order: int) -> list[Fraction]:
@@ -46,7 +65,7 @@ class UniSeries:
     def __init__(self, var: str, order: int, coeffs: Iterable[Fraction]):
         if order < 0:
             raise ValueError("order must be >= 0")
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if len(cs) != order + 1:
             raise ValueError(f"need {order + 1} coefficients, got {len(cs)}")
         self.var = var
@@ -107,17 +126,14 @@ class UniSeries:
         return UniSeries(self.var, self.order, [r * a for a in self.coeffs])
 
     def __mul__(self, other: "UniSeries") -> "UniSeries":
+        """Exact product: one integer convolution over one denominator."""
         self._check(other)
-        n = self.order
-        out = [_ZERO] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return UniSeries(self.var, n, out)
+        a, da = _over_common_den(self.coeffs)
+        b, db = _over_common_den(other.coeffs)
+        out = [0] * (self.order + 1)
+        _add_convolution(out, a, b)
+        den = da * db
+        return UniSeries(self.var, self.order, [Fraction(v, den) for v in out])
 
     def exp(self) -> "UniSeries":
         """exp of a series with zero constant term, via E' = a' E."""
@@ -170,7 +186,8 @@ class BiSeries:
         for (i, j), v in coeffs.items():
             if not 0 <= i <= n1 or not 0 <= j <= n2:
                 raise ValueError(f"exponent ({i}, {j}) outside orders {orders}")
-            v = Fraction(v)
+            if type(v) is not Fraction:
+                v = Fraction(v)
             if v:
                 clean[(i, j)] = v
         self.vars = (vars[0], vars[1])
@@ -226,17 +243,37 @@ class BiSeries:
             return BiSeries.zero(self.vars, self.orders)
         return BiSeries(self.vars, self.orders, {k: r * v for k, v in self.coeffs.items()})
 
+    def _integer_rows(self) -> tuple[list[list[int]], int]:
+        """Dense integer rows over one denominator: rows[i][j] * den == coeff(i, j)."""
+        n1, n2 = self.orders
+        nums, den = _over_common_den(self.coeffs.values())
+        rows = [[0] * (n2 + 1) for _ in range(n1 + 1)]
+        for (i, j), v in zip(self.coeffs, nums):
+            rows[i][j] = v
+        return rows, den
+
     def __mul__(self, other: "BiSeries") -> "BiSeries":
+        """Exact product: row-by-row integer convolutions over one denominator."""
         self._check(other)
         n1, n2 = self.orders
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), v1 in self.coeffs.items():
-            for (i2, j2), v2 in other.coeffs.items():
-                i, j = i1 + i2, j1 + j2
-                if i <= n1 and j <= n2:
-                    key = (i, j)
-                    out[key] = out.get(key, _ZERO) + v1 * v2
-        return BiSeries(self.vars, self.orders, out)
+        a, da = self._integer_rows()
+        b, db = other._integer_rows()
+        nonzero_b = [(i, row) for i, row in enumerate(b) if any(row)]
+        out = [[0] * (n2 + 1) for _ in range(n1 + 1)]
+        for i1, row1 in enumerate(a):
+            if any(row1):
+                for i2, row2 in nonzero_b:
+                    if i1 + i2 > n1:
+                        break
+                    _add_convolution(out[i1 + i2], row1, row2)
+        den = da * db
+        terms = {
+            (i, j): Fraction(v, den)
+            for i, row in enumerate(out)
+            for j, v in enumerate(row)
+            if v
+        }
+        return BiSeries(self.vars, self.orders, terms)
 
     def exp(self) -> "BiSeries":
         """exp by summed powers; every power raises the total degree."""

@@ -630,15 +630,13 @@ def extract_relation_from_ode(g: int, d: int, b: int, alpha: AlphaTable) -> Taut
         if row:
             slices[a - 1] = row
     e_rest = _exp_from_slices(slices, t_exp, d)
-    ef0 = f0.exp()
-    cells: dict[tuple[int, int], KappaPoly] = {}
+    ef0 = [KappaPoly.scalar(v) for v in f0.exp().coeffs]
+    buckets: dict[tuple[int, int], list[tuple[KappaPoly, KappaPoly, int]]] = {}
     for (i, j2), p in e_rest.items():
         for j1 in range(0, d - j2 + 1):
-            v = ef0.coeffs[j1]
-            if v:
-                key = (i, j1 + j2)
-                prev = cells.get(key)
-                cells[key] = p.scale(v) if prev is None else prev + p.scale(v)
+            if not ef0[j1].is_zero():
+                buckets.setdefault((i, j1 + j2), []).append((p, ef0[j1], 1))
+    cells = {key: _sum_of_products(pairs) for key, pairs in buckets.items()}
     e_full = PolySeries(("t", "w"), (t_exp, d), cells)
 
     if b == 0:

@@ -9,7 +9,7 @@ no slice recurrence, just recursion over pair multiplicities.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 
 def _mono_of(counts):
@@ -173,3 +173,83 @@ def mono_cmp(m1, m2):
         if e1 != e2:
             return -1 if e1 > e2 else 1
     return 0
+
+
+# ------------------------------------------------------------ series references
+#
+# Schoolbook list/dict-of-Fraction products, the unpaired q convolution
+# and the original O(n^3) ODE recurrence, for differential tests of the
+# integer products in tautrel.series and the paired solve in
+# tautrel.coeffs.  Nothing here calls tautrel.
+
+
+def ref_uni_mul(a, b):
+    """Product of two coefficient lists of equal length, truncated to it."""
+    n = len(a)
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def ref_bi_mul(a, b, orders):
+    """Product of two {(i, j): Fraction} maps, truncated to orders; no zeros."""
+    n1, n2 = orders
+    out = {}
+    for (i1, j1), v1 in a.items():
+        for (i2, j2), v2 in b.items():
+            if i1 + i2 <= n1 and j1 + j2 <= n2:
+                key = (i1 + i2, j1 + j2)
+                out[key] = out.get(key, Fraction(0)) + v1 * v2
+    return {k: v for k, v in out.items() if v}
+
+
+def ref_bernoulli(n):
+    """B_0..B_n from sum_{k<=m} C(m+1, k) B_k = 0, so B_1 = -1/2."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b
+
+
+def ref_solve_series_ode(n_x, n_w):
+    """alpha[k][j] of x*w*F_ww = w*F_w**2 + (1-x)*F_w - 1, as nested lists.
+
+    Every product F_l*F_{d-l}, l = 1..d-1, is formed with weight
+    C(d-1,l)*l, and the geometric factor 1/(1-d*x) is a dense product.
+    """
+    bern = ref_bernoulli(n_x)
+    slices = [[Fraction(0)] * 2 + [-bern[a] / (a * (a - 1)) for a in range(2, n_x + 1)]]
+    for d in range(1, n_w + 1):
+        rhs = [Fraction(1 if d == 1 else 0)] + [Fraction(0)] * n_x
+        for l in range(1, d):
+            weight = comb(d - 1, l) * l
+            prod = ref_uni_mul(slices[l], slices[d - l])
+            rhs = [r - weight * p for r, p in zip(rhs, prod)]
+        geom = [Fraction(d) ** m for m in range(n_x + 1)]
+        slices.append(ref_uni_mul(rhs, geom))
+    return [[slices[j][k] / factorial(j) for j in range(n_w + 1)] for k in range(n_x + 1)]
+
+
+def ref_q_rows(k_max):
+    """Rows of the q triangle, summing the self-convolution over every m."""
+    rows = [[1]]
+    for k in range(1, k_max + 1):
+        kk = k - 1
+        conv_row = [0] * (kk + 1)
+        for m in range(kk + 1):
+            for i, x in enumerate(rows[m]):
+                for j, y in enumerate(rows[kk - m]):
+                    conv_row[i + j] += x * y
+        prev = rows[kk]
+        row = []
+        for j in range(k + 1):
+            val = conv_row[j - 1] if j >= 1 else 0
+            if j >= 1:
+                val += (2 * k + 4 * j - 2) * prev[j - 1]
+            if j <= kk:
+                val += (j + 1) * prev[j]
+            row.append(val)
+        rows.append(row)
+    return tuple(tuple(r) for r in rows)

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tautrel.cli import main
 
@@ -84,6 +89,51 @@ def test_cache_serves_smaller_requests(tmp_path, capsys):
     assert not (tmp_path / "c-3.csv").exists()
 
 
+def test_truncated_cache_is_recomputed_not_served(tmp_path, capsys):
+    args = ("coeffs", "--table", "q", "--max-k", "10", "--format", "csv",
+            "--cache-dir", str(tmp_path))
+    _, cold = run(capsys, *args)
+    path = tmp_path / "q-10.csv"
+    path.write_bytes(path.read_bytes()[:200])
+    code = main(list(args))
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == cold  # not 5,5,82 and a table cut off at row 5
+    assert "corrupt" in captured.err
+    # the table was rewritten whole: the next run reads it back silently
+    code = main(list(args))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, cold, "")
+    assert [p.name for p in tmp_path.iterdir()] == ["q-10.csv"]
+
+
+def _cli_output(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), k_max=st.integers(0, 10), truncate=st.booleans())
+def test_damaged_cache_never_prints_wrong_bytes(data, k_max, truncate):
+    with tempfile.TemporaryDirectory() as tmp:
+        _cli_output("coeffs", "--table", "q", "--max-k", "10", "--cache-dir", tmp)
+        path = Path(tmp) / "q-10.csv"
+        raw = bytearray(path.read_bytes())
+        pos = data.draw(st.integers(0, len(raw) - 1), label="pos")
+        if truncate:
+            raw = raw[:pos]
+        else:
+            raw[pos] = data.draw(
+                st.integers(0, 255).filter(lambda b: b != raw[pos]), label="byte"
+            )
+        path.write_bytes(bytes(raw))
+        request = ("coeffs", "--table", "q", "--max-k", str(k_max), "--format", "csv")
+        code, out = _cli_output(*request, "--cache-dir", tmp)
+        assert code != 0 or out == _cli_output(*request)[1]
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TAUTREL_CACHE_DIR", str(tmp_path))
     code, _ = run(capsys, "coeffs", "--table", "p", "--max-k", "4")
@@ -111,6 +161,12 @@ def test_relation_psi(capsys):
     assert code == 0
     assert '{"monomial":{"0":2},"coeff":"-10"}' in out
     assert '"psi":true' in out
+
+
+def test_relation_psi_rejects_b():
+    with pytest.raises(SystemExit) as exc:
+        main(["relation", "--g", "5", "--d", "2", "--b", "3", "--psi"])
+    assert exc.value.code == 2
 
 
 def test_relation_out_of_range(capsys):

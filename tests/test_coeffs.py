@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from tautrel import (
+    AlphaTable,
     CTable,
     QTable,
     bernoulli_table,
@@ -20,6 +21,9 @@ from tautrel import (
     solve_series_ode,
     verify_coeff_identities,
 )
+from tautrel import coeffs
+
+from oracles import ref_q_rows, ref_solve_series_ode
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -32,6 +36,11 @@ def test_q_table_hand_values():
     assert q.get(1, 0) == 1 and q.get(1, 1) == 5
     assert (q.get(2, 0), q.get(2, 1), q.get(2, 2)) == (1, 18, 60)
     assert (q.get(3, 0), q.get(3, 1), q.get(3, 2), q.get(3, 3)) == (1, 47, 442, 1105)
+
+
+def test_q_table_matches_unpaired_convolution(q60):
+    # row k sums its self-convolution at kk = k - 1: odd and even kk alike
+    assert q60.rows == ref_q_rows(60)
 
 
 def test_q_table_outside_triangle_and_sizing():
@@ -95,6 +104,12 @@ def test_alpha_initial_slice_and_known_columns():
     assert a.get(1, 1) == 1 and a.get(1, 2) == -2 and a.get(1, 3) == F(16, 3)
     # w^1 column is constant 1
     assert all(a.get(k, 1) == 1 for k in range(9))
+
+
+@pytest.mark.parametrize("orders", [(1, 1), (1, 4), (4, 1), (15, 8), (8, 15), (24, 24)])
+def test_alpha_matches_unpaired_recurrence(orders):
+    a = solve_series_ode(*orders)
+    assert [list(row) for row in a.entries] == ref_solve_series_ode(*orders)
 
 
 def test_alpha_defining_equation_residual():
@@ -204,3 +219,15 @@ def test_ode_check_failures_catch_wrong_tables():
     wrong_q = QTable(q.k_max, tuple(tuple(r) for r in rows))
     assert ode_check_failures(wrong_q, c, 8) == ["derivative closed form differs"]
 
+
+def test_ode_check_failures_catch_one_wrong_alpha_entry(monkeypatch):
+    q = build_q_table(7)
+    c = build_c_table(q)
+    good = solve_series_ode(8, 8)
+    rows = [list(r) for r in good.entries]
+    rows[3][2] += F(1, rows[3][2].denominator)
+    wrong = AlphaTable(good.orders, tuple(tuple(r) for r in rows))
+    monkeypatch.setattr(coeffs, "solve_series_ode", lambda n_x, n_w: wrong)
+    failures = ode_check_failures(q, c, 8)
+    assert "nonzero residual in the defining equation" in failures
+    assert "closed form differs from the solved series" in failures

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tautrel import (
     BiSeries,
@@ -10,6 +12,8 @@ from tautrel import (
     binomial_unit_pow,
     coeff_via_change_of_vars,
 )
+
+from oracles import ref_bi_mul, ref_uni_mul
 
 XU = ("x", "u")
 
@@ -196,3 +200,60 @@ def test_change_of_vars_truncation_error():
     p = BiSeries(("x", "w"), (2, 2), {})
     with pytest.raises(ValueError):
         coeff_via_change_of_vars(p, 3, 1)
+
+
+# ------------------------------------- integer products against the reference
+
+SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+# numerators and denominators up to 10**30, so one common denominator of
+# a whole operand reaches hundreds of bits
+big_fractions = st.builds(
+    F,
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.integers(min_value=1, max_value=10**30),
+)
+coefficients = st.one_of(st.just(F(0)), st.just(F(0)), big_fractions)
+
+
+@st.composite
+def uni_pairs(draw):
+    n = draw(st.integers(min_value=0, max_value=9))
+    terms = st.lists(coefficients, min_size=n + 1, max_size=n + 1)
+    return draw(terms), draw(terms)
+
+
+@st.composite
+def bi_pairs(draw):
+    orders = (draw(st.integers(0, 5)), draw(st.integers(0, 5)))
+    keys = st.tuples(st.integers(0, orders[0]), st.integers(0, orders[1]))
+    terms = st.dictionaries(keys, coefficients, max_size=12)
+    return orders, draw(terms), draw(terms)
+
+
+@SETTINGS
+@given(uni_pairs())
+def test_uniseries_mul_matches_reference(pair):
+    a, b = pair
+    n = len(a) - 1
+    assert (UniSeries("x", n, a) * UniSeries("x", n, b)).coeffs == tuple(ref_uni_mul(a, b))
+
+
+@SETTINGS
+@given(bi_pairs())
+def test_biseries_mul_matches_reference(case):
+    orders, a, b = case
+    prod = BiSeries(XU, orders, a) * BiSeries(XU, orders, b)
+    assert prod.coeffs == ref_bi_mul(a, b, orders)
+    assert all(isinstance(v, F) for v in prod.coeffs.values())
+
+
+@SETTINGS
+@given(st.integers(0, 6), st.integers(0, 6))
+def test_products_of_mismatched_orders_raise(n, k):
+    with pytest.raises(ValueError):
+        UniSeries.zero("x", n) * UniSeries.zero("x", n + 1)
+    with pytest.raises(ValueError):
+        BiSeries.one(XU, (n, k)) * BiSeries.one(XU, (n + 1, k))
+    with pytest.raises(ValueError):
+        BiSeries.one(XU, (n, k)) * BiSeries.one(XU, (n, k + 1))
