@@ -1,58 +1,90 @@
-"""Exact-arithmetic toolkit for polynomial relations among kappa classes."""
+"""Exact-arithmetic toolkit for polynomial relations among kappa classes.
 
-from .exact import BernoulliTable, Rational, bernoulli_table, binomial
-from .series import (
-    BiSeries,
-    UniSeries,
-    binomial_series_coeffs,
-    binomial_unit_pow,
-    coeff_via_change_of_vars,
-)
-from .coeffs import (
-    AlphaTable,
-    CTable,
-    IdentityReport,
-    QTable,
-    build_c_table,
-    build_q_table,
-    diag_ode_residual,
-    expand_closed_form,
-    expand_w_deriv_closed,
-    ode_check_failures,
-    ode_residual,
-    p_series,
-    q_functional_equation_residual,
-    remark_identity_failures,
-    solve_series_ode,
-    verify_coeff_identities,
-)
-from .tautring import (
-    DiagonalRelation,
-    KappaPoly,
-    PolySeries,
-    PsiRelation,
-    TautRelation,
-    extract_diagonal_relation,
-    extract_psi_relation,
-    extract_relation,
-    extract_relation_from_ode,
-    kappa_exponential,
-    relation_json,
-    relation_window,
-)
-from .relations import (
-    FaberChoice,
-    FaberConsistencyError,
-    GeneratorExpression,
-    IndependenceReport,
-    ScanReport,
-    cross_pipeline_check,
-    faber_choose,
-    faber_solve,
-    independence_report,
-    rank_exact,
-    scan_nonvanishing,
-    weighted_monomials,
-)
+Submodules load on first use: ``import tautrel`` imports none of them,
+and ``tautrel.X`` or ``from tautrel import X`` imports the one module
+that defines ``X`` (PEP 562).
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# public name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys(("BernoulliTable", "Rational", "bernoulli_table", "binomial"), "exact"),
+    **dict.fromkeys(
+        ("BiSeries", "UniSeries", "binomial_series_coeffs", "binomial_unit_pow"), "series"
+    ),
+    **dict.fromkeys(
+        (
+            "AlphaTable",
+            "CTable",
+            "IdentityReport",
+            "QTable",
+            "build_c_table",
+            "build_q_table",
+            "diag_ode_residual",
+            "expand_closed_form",
+            "expand_w_deriv_closed",
+            "ode_check_failures",
+            "ode_residual",
+            "p_series",
+            "q_functional_equation_residual",
+            "remark_identity_failures",
+            "solve_series_ode",
+            "verify_coeff_identities",
+        ),
+        "coeffs",
+    ),
+    **dict.fromkeys(
+        (
+            "DiagonalRelation",
+            "KappaPoly",
+            "PolySeries",
+            "PsiRelation",
+            "TautRelation",
+            "extract_diagonal_relation",
+            "extract_psi_relation",
+            "extract_relation",
+            "extract_relation_from_ode",
+            "kappa_exponential",
+            "relation_json",
+            "relation_window",
+            "weighted_monomials",
+        ),
+        "tautring",
+    ),
+    **dict.fromkeys(
+        (
+            "FaberChoice",
+            "FaberConsistencyError",
+            "GeneratorExpression",
+            "IndependenceReport",
+            "ScanReport",
+            "cross_pipeline_check",
+            "faber_choose",
+            "faber_solve",
+            "independence_report",
+            "rank_exact",
+            "scan_nonvanishing",
+        ),
+        "relations",
+    ),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _EXPORTS.values():  # a submodule not imported yet
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -5,6 +5,9 @@ The coefficient-table cache lives under --cache-dir (or TAUTREL_CACHE_DIR);
 a cached table built at a larger size serves any smaller request with
 byte-identical output.  Each cache file records the row count and sha256
 of its body; a file that fails that check is recomputed, never served.
+
+Each subcommand imports the library modules it runs, so ``--help`` and
+usage errors load none of them and ``relation`` never loads ``relations``.
 """
 
 from __future__ import annotations
@@ -15,11 +18,6 @@ import json
 import os
 import sys
 from pathlib import Path
-
-from . import coeffs as co
-from . import relations as rel
-from . import tautring as tr
-from .exact import bernoulli_table
 
 CACHE_VERSION = 2
 _TABLE_KINDS = ("q", "c", "alpha", "p", "bernoulli")
@@ -33,6 +31,13 @@ def _json_line(obj) -> str:
 # table materialization: rows of (k, j, value) or (k, value) strings
 
 def _table_rows(kind: str, k_max: int) -> list[tuple]:
+    if kind == "bernoulli":
+        from .exact import bernoulli_table
+
+        b = bernoulli_table(k_max)
+        return [(k, str(b[k])) for k in range(k_max + 1)]
+    from . import coeffs as co
+
     if kind == "q":
         q = co.build_q_table(k_max)
         return [(k, j, str(q.get(k, j))) for k in range(k_max + 1) for j in range(k + 1)]
@@ -49,9 +54,6 @@ def _table_rows(kind: str, k_max: int) -> list[tuple]:
     if kind == "p":
         p = co.p_series(k_max)
         return [(k, str(p.coeff(k))) for k in range(k_max + 1)]
-    if kind == "bernoulli":
-        b = bernoulli_table(k_max)
-        return [(k, str(b[k])) for k in range(k_max + 1)]
     raise ValueError(f"unknown table kind {kind!r}")
 
 
@@ -177,6 +179,8 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import coeffs as co
+
     failures = 0
     suites = [args.suite] if args.suite != "all" else [
         "identities", "ode", "genfunc", "crosscheck"
@@ -220,7 +224,9 @@ def _cmd_verify(args) -> int:
         elif suite == "crosscheck":
             g_max = min(args.order, 14)
             q = co.build_q_table(max(g_max, 1))
-            _, bad = rel.cross_pipeline_check(q, co.build_c_table(q), g_max)
+            from .relations import cross_pipeline_check
+
+            _, bad = cross_pipeline_check(q, co.build_c_table(q), g_max)
             if bad is None:
                 print("PASS crosscheck: both extraction pipelines proportional")
             else:
@@ -230,6 +236,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_relation(args) -> int:
+    from . import coeffs as co
+    from . import tautring as tr
+
     try:
         q = co.build_q_table(max(tr.relation_window(args.g, args.d, args.b, args.psi), 1))
         c = co.build_c_table(q)
@@ -245,6 +254,10 @@ def _cmd_relation(args) -> int:
 
 
 def _cmd_faber(args) -> int:
+    from . import coeffs as co
+    from . import relations as rel
+    from . import tautring as tr
+
     size = max(args.g, 1)
     q = co.build_q_table(size)
     c = co.build_c_table(q)
@@ -265,6 +278,9 @@ def _cmd_faber(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from . import coeffs as co
+    from . import relations as rel
+
     q = co.build_q_table(args.max_a)
     c = co.build_c_table(q)
     report = rel.scan_nonvanishing(args.max_a, q, c)

@@ -16,9 +16,9 @@ package: the two computation paths share nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 from .exact import BernoulliTable, bernoulli_table
 from .series import BiSeries, UniSeries, binomial_series_coeffs, binomial_unit_pow
@@ -45,8 +45,7 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class QTable:
+class QTable(NamedTuple):
     """Integer triangle q[k][j], 0 <= j <= k <= k_max; zero outside."""
 
     k_max: int
@@ -60,8 +59,7 @@ class QTable:
         return self.rows[k][j]
 
 
-@dataclass(frozen=True)
-class CTable:
+class CTable(NamedTuple):
     """Rational triangle c[k][j], 1 <= k <= k_max, 0 <= j <= k; zero for j > k."""
 
     k_max: int
@@ -146,8 +144,7 @@ def build_c_table(q: QTable) -> CTable:
     return CTable(q.k_max, tuple(rows))
 
 
-@dataclass(frozen=True)
-class AlphaTable:
+class AlphaTable(NamedTuple):
     """Coefficients alpha[k][j] of the ODE solution, 0 <= k <= n_x, 0 <= j <= n_w."""
 
     orders: tuple[int, int]
@@ -224,11 +221,13 @@ def expand_w_deriv_closed(q: QTable, n_x: int, n_w: int) -> BiSeries:
         + sum_{k>=1} sum_{j<=k} x^(k+1) q[k][j] (-w)^j (1+4w)^(-j-k/2-1)
 
     expanded with exact generalized-binomial series for the half-integer
-    powers of 1+4w.
+    powers of 1+4w.  The exponent repeats across (k, j), so each distinct
+    one is expanded once, through w^n_w, and sliced.
     """
     if q.k_max < n_x - 1:
         raise ValueError(f"q table sized {q.k_max}, need {n_x - 1}")
     terms: dict[tuple[int, int], Fraction] = {}
+    expansions: dict[Fraction, list[Fraction]] = {}
     for j, v in enumerate(_sqrt_shifted_coeffs(n_w)):
         if v:
             terms[(0, j)] = v
@@ -242,12 +241,14 @@ def expand_w_deriv_closed(q: QTable, n_x: int, n_w: int) -> BiSeries:
             if not qv:
                 continue
             e = -(j + Fraction(k, 2) + 1)
-            cs = binomial_series_coeffs(Fraction(4), e, n_w - j)
-            sign = -1 if j % 2 else 1
-            for m, cv in enumerate(cs):
+            cs = expansions.get(e)
+            if cs is None:
+                cs = expansions[e] = binomial_series_coeffs(Fraction(4), e, n_w)
+            signed = -qv if j % 2 else qv
+            for m, cv in enumerate(cs[: n_w - j + 1]):
                 if cv:
                     key = (k + 1, j + m)
-                    terms[key] = terms.get(key, _ZERO) + sign * qv * cv
+                    terms[key] = terms.get(key, _ZERO) + signed * cv
     return BiSeries(("x", "w"), (n_x, n_w), terms)
 
 
@@ -258,11 +259,13 @@ def expand_closed_form(c: CTable, n_x: int, n_w: int) -> BiSeries:
         - sum_{k>=1} sum_{j<=k} x^(k+1) c[k][j] (-w)^j (1+4w)^(-j-k/2)
 
     where F(0,w) is the w-antiderivative (zero constant term) of
-    (-1+sqrt(1+4w))/(2w).
+    (-1+sqrt(1+4w))/(2w).  As in expand_w_deriv_closed, each distinct
+    exponent of 1+4w is expanded once and sliced.
     """
     if c.k_max < n_x - 1:
         raise ValueError(f"c table sized {c.k_max}, need {n_x - 1}")
     terms: dict[tuple[int, int], Fraction] = {}
+    expansions: dict[Fraction, list[Fraction]] = {}
     a0 = _sqrt_shifted_coeffs(max(n_w - 1, 0))
     for j in range(min(len(a0), n_w)):
         if a0[j]:
@@ -276,12 +279,14 @@ def expand_closed_form(c: CTable, n_x: int, n_w: int) -> BiSeries:
             if not cv:
                 continue
             e = -(j + Fraction(k, 2))
-            cs = binomial_series_coeffs(Fraction(4), e, n_w - j)
-            sign = -1 if j % 2 else 1
-            for m, bv in enumerate(cs):
+            cs = expansions.get(e)
+            if cs is None:
+                cs = expansions[e] = binomial_series_coeffs(Fraction(4), e, n_w)
+            signed = -cv if j % 2 else cv
+            for m, bv in enumerate(cs[: n_w - j + 1]):
                 if bv:
                     key = (k + 1, j + m)
-                    terms[key] = terms.get(key, _ZERO) - sign * cv * bv
+                    terms[key] = terms.get(key, _ZERO) - signed * bv
     return BiSeries(("x", "w"), (n_x, n_w), terms)
 
 
@@ -417,13 +422,19 @@ def remark_identity_failures(
     return failures
 
 
-@dataclass
 class IdentityReport:
     """Outcome of the exact identity battery over the coefficient tables."""
 
-    k_max: int
-    checked: int = 0
-    failures: list[dict] = field(default_factory=list)
+    def __init__(self, k_max: int):
+        self.k_max = k_max
+        self.checked = 0
+        self.failures: list[dict] = []
+
+    def __repr__(self) -> str:
+        return (
+            f"IdentityReport(k_max={self.k_max}, checked={self.checked},"
+            f" failures={self.failures!r})"
+        )
 
     @property
     def ok(self) -> bool:

@@ -9,7 +9,6 @@ string form is ``str(Fraction)`` / ``Fraction(str)``: ``"num/den"`` with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -27,12 +26,17 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-@dataclass(frozen=True)
 class BernoulliTable:
     """Bernoulli numbers B_0 .. B_max_index (first convention, B_1 = -1/2)."""
 
-    max_index: int
-    values: tuple[Fraction, ...]
+    __slots__ = ("max_index", "values")
+
+    def __init__(self, max_index: int, values: tuple[Fraction, ...]):
+        self.max_index = max_index
+        self.values = values
+
+    def __repr__(self) -> str:
+        return f"BernoulliTable(max_index={self.max_index}, values={self.values!r})"
 
     def __getitem__(self, n: int) -> Fraction:
         if not 0 <= n <= self.max_index:

@@ -12,9 +12,9 @@ nonzero for every a up to 60.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .coeffs import CTable, QTable, solve_series_ode
 from .tautring import (
@@ -47,8 +47,7 @@ class FaberConsistencyError(RuntimeError):
     expression failed its back-substitution check."""
 
 
-@dataclass(frozen=True)
-class FaberChoice:
+class FaberChoice(NamedTuple):
     """Chosen (d, b) for solving kappa_a in genus g."""
 
     g: int
@@ -86,8 +85,7 @@ def faber_choose(g: int, a: int) -> FaberChoice:
     return FaberChoice(g=g, a=a, d=d, b=b, case_tag=f"b{b}")
 
 
-@dataclass(frozen=True)
-class GeneratorExpression:
+class GeneratorExpression(NamedTuple):
     """kappa_a = rhs, with rhs free of any kappa_j for j >= a."""
 
     g: int
@@ -144,14 +142,21 @@ def faber_solve(
     return out
 
 
-@dataclass
 class ScanReport:
     """Nonvanishing scan outcome over 1 <= d <= a <= a_max."""
 
-    a_max: int
-    checked: int = 0
-    failures: list[dict] = field(default_factory=list)
-    remark_formula_mismatches: list[dict] = field(default_factory=list)
+    def __init__(self, a_max: int):
+        self.a_max = a_max
+        self.checked = 0
+        self.failures: list[dict] = []
+        self.remark_formula_mismatches: list[dict] = []
+
+    def __repr__(self) -> str:
+        return (
+            f"ScanReport(a_max={self.a_max}, checked={self.checked},"
+            f" failures={self.failures!r},"
+            f" remark_formula_mismatches={self.remark_formula_mismatches!r})"
+        )
 
     @property
     def ok(self) -> bool:
@@ -264,15 +269,21 @@ def rank_exact(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-@dataclass
 class IndependenceReport:
     """All relations of one weighted degree for one genus, with their rank."""
 
-    g: int
-    a: int
-    pairs: list[dict] = field(default_factory=list)  # {d, b, nonzero}
-    n_nonzero: int = 0
-    rank: int = 0
+    def __init__(self, g: int, a: int):
+        self.g = g
+        self.a = a
+        self.pairs: list[dict] = []  # {d, b, nonzero}
+        self.n_nonzero = 0
+        self.rank = 0
+
+    def __repr__(self) -> str:
+        return (
+            f"IndependenceReport(g={self.g}, a={self.a}, pairs={self.pairs!r},"
+            f" n_nonzero={self.n_nonzero}, rank={self.rank})"
+        )
 
     @property
     def ok(self) -> bool:

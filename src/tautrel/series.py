@@ -16,7 +16,6 @@ __all__ = [
     "BiSeries",
     "binomial_series_coeffs",
     "binomial_unit_pow",
-    "coeff_via_change_of_vars",
 ]
 
 _ZERO = Fraction(0)
@@ -275,22 +274,6 @@ class BiSeries:
         }
         return BiSeries(self.vars, self.orders, terms)
 
-    def exp(self) -> "BiSeries":
-        """exp by summed powers; every power raises the total degree."""
-        if self.coeffs.get((0, 0)):
-            raise ValueError("exp requires zero constant term")
-        n1, n2 = self.orders
-        result = BiSeries.one(self.vars, self.orders)
-        power = BiSeries.one(self.vars, self.orders)
-        fact = 1
-        for n in range(1, n1 + n2 + 1):
-            power = power * self
-            if not power.coeffs:
-                break
-            fact *= n
-            result = result + power.scale(Fraction(1, fact))
-        return result
-
     def derivative(self, axis: int) -> "BiSeries":
         """Formal derivative along axis 0 or 1; that order drops by one."""
         n1, n2 = self.orders
@@ -364,27 +347,3 @@ def binomial_unit_pow(
         terms = {(0, k): v for k, v in enumerate(cs)}
     return BiSeries(vars, orders, terms)
 
-
-def coeff_via_change_of_vars(p: BiSeries, a: int, d: int) -> Fraction:
-    """Extract the (a, d) coefficient of p through the substituted variables.
-
-    Substitute w = -u/(1+4u) and x = y*(1+4u)^(-1/2) into p(x, w), multiply
-    by (1+4u)^((a+2d-2)/2), take the coefficient of y^a u^d, and flip the
-    sign by (-1)^d.  The result equals the directly extracted coefficient
-    of x^a w^d; computing it this way exercises the substitution route.
-    """
-    n1, n2 = p.orders
-    if a > n1 or d > n2:
-        raise ValueError(f"series truncated below ({a}, {d})")
-    # Only x-degree a survives extraction at y^a; each monomial x^a w^j maps
-    # to y^a (-1)^j u^j (1+4u)^(-a/2 - j); with the prefactor the u-part is
-    # (1+4u)^(d - 1 - j).
-    total = _ZERO
-    for j in range(0, d + 1):
-        v = p.coeffs.get((a, j))
-        if not v:
-            continue
-        expo = Fraction(d - 1 - j)
-        cs = binomial_series_coeffs(Fraction(4), expo, d - j)
-        total += v * (-1) ** j * cs[d - j]
-    return total * (-1) ** d

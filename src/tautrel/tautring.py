@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import or_
+from typing import NamedTuple
 
 from .coeffs import AlphaTable, CTable, QTable
 from .series import UniSeries
@@ -478,8 +478,7 @@ def kappa_exponential(c: CTable, n_x: int, n_u: int) -> PolySeries:
     return PolySeries(("x", "u"), (n_x, n_u), _exp_from_slices(slices, n_x, n_u))
 
 
-@dataclass(frozen=True)
-class TautRelation:
+class TautRelation(NamedTuple):
     """One extracted relation: a homogeneous polynomial that vanishes."""
 
     g: int
@@ -489,8 +488,7 @@ class TautRelation:
     poly: KappaPoly
 
 
-@dataclass(frozen=True)
-class PsiRelation:
+class PsiRelation(NamedTuple):
     """Pointed-curve relation: homogeneous in psi and the kappa generators."""
 
     g: int
@@ -499,8 +497,7 @@ class PsiRelation:
     poly: KappaPoly
 
 
-@dataclass(frozen=True)
-class DiagonalRelation:
+class DiagonalRelation(NamedTuple):
     """Relation built from the diagonal-coefficient generating series."""
 
     g: int

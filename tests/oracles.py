@@ -253,3 +253,57 @@ def ref_q_rows(k_max):
             row.append(val)
         rows.append(row)
     return tuple(tuple(r) for r in rows)
+
+
+# ------------------------------------------------------------ test-only helpers
+#
+# Series helpers that only the tests use.  They take a tautrel BiSeries
+# as their argument but import nothing from tautrel.
+
+
+def bi_exp(s):
+    """exp of a BiSeries with zero constant term, by summed powers."""
+    if s.coeffs.get((0, 0)):
+        raise ValueError("exp requires zero constant term")
+    n1, n2 = s.orders
+    result = power = type(s).one(s.vars, s.orders)
+    fact = 1
+    for n in range(1, n1 + n2 + 1):
+        power = power * s
+        if not power.coeffs:
+            break
+        fact *= n
+        result = result + power.scale(Fraction(1, fact))
+    return result
+
+
+def _binomial_series_coeff(e, m):
+    """Coefficient of v^m in (1 + v)^e, for any rational exponent e."""
+    out = Fraction(1)
+    for i in range(m):
+        out = out * (e - i) / (i + 1)
+    return out
+
+
+def coeff_via_change_of_vars(p, a, d):
+    """Extract the (a, d) coefficient of a BiSeries through substituted variables.
+
+    Substitute w = -u/(1+4u) and x = y*(1+4u)^(-1/2) into p(x, w), multiply
+    by (1+4u)^((a+2d-2)/2), take the coefficient of y^a u^d, and flip the
+    sign by (-1)^d.  The result equals the directly extracted coefficient
+    of x^a w^d; computing it this way exercises the substitution route.
+    """
+    n1, n2 = p.orders
+    if a > n1 or d > n2:
+        raise ValueError(f"series truncated below ({a}, {d})")
+    # Only x-degree a survives extraction at y^a; each monomial x^a w^j maps
+    # to y^a (-1)^j u^j (1+4u)^(-a/2 - j); with the prefactor the u-part is
+    # (1+4u)^(d - 1 - j).
+    total = Fraction(0)
+    for j in range(0, d + 1):
+        v = p.coeffs.get((a, j))
+        if not v:
+            continue
+        m = d - j
+        total += v * (-1) ** j * _binomial_series_coeff(d - 1 - j, m) * 4**m
+    return total * (-1) ** d
