@@ -12,20 +12,18 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(("BernoulliTable", "Rational", "bernoulli_table", "binomial"), "exact"),
-    **dict.fromkeys(
-        ("BiSeries", "UniSeries", "binomial_series_coeffs", "binomial_unit_pow"), "series"
-    ),
+    **dict.fromkeys(("BiSeries", "UniSeries", "binomial_series_coeffs"), "series"),
     **dict.fromkeys(
         (
             "AlphaTable",
             "CTable",
-            "IdentityReport",
             "QTable",
             "build_c_table",
             "build_q_table",
             "diag_ode_residual",
             "expand_closed_form",
             "expand_w_deriv_closed",
+            "genfunc_check",
             "ode_check_failures",
             "ode_residual",
             "p_series",
@@ -61,6 +59,7 @@ _EXPORTS = {
             "GeneratorExpression",
             "IndependenceReport",
             "ScanReport",
+            "cross_pipeline_cells",
             "cross_pipeline_check",
             "faber_choose",
             "faber_solve",

@@ -22,6 +22,21 @@ from pathlib import Path
 CACHE_VERSION = 2
 _TABLE_KINDS = ("q", "c", "alpha", "p", "bernoulli")
 
+# verify suite -> (least --order, name of its check in the tautrel namespace).
+# A check maps (q, c, order) to (summary, failure messages); the name
+# resolves on first use, so only the suites that run load their module.
+VERIFY_SUITES = {
+    "identities": (1, "verify_coeff_identities"),
+    "ode": (2, "ode_check_failures"),
+    "genfunc": (1, "genfunc_check"),
+    "crosscheck": (2, "cross_pipeline_check"),
+}
+
+
+def _suites(name: str) -> list[str]:
+    """The suites that ``verify --suite name`` runs, in table order."""
+    return list(VERIFY_SUITES) if name == "all" else [name]
+
 
 def _json_line(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
@@ -181,58 +196,18 @@ def _cmd_coeffs(args) -> int:
 def _cmd_verify(args) -> int:
     from . import coeffs as co
 
-    failures = 0
-    suites = [args.suite] if args.suite != "all" else [
-        "identities", "ode", "genfunc", "crosscheck"
-    ]
-    for suite in suites:
-        if suite == "identities":
-            rep = co.verify_coeff_identities(args.order)
-            if rep.ok:
-                print(f"PASS identities: {rep.checked} exact checks to k={args.order}")
-            else:
-                failures += len(rep.failures)
-                print(f"FAIL identities: {rep.failures[0]}")
-        elif suite == "ode":
-            n = args.order
-            q = co.build_q_table(n - 1)
-            bad = co.ode_check_failures(q, co.build_c_table(q), n)
-            for msg in bad:
-                print(f"FAIL ode: {msg}")
-            if bad:
-                failures += 1
-            else:
-                print(f"PASS ode: alpha vs closed-form: match through ({n},{n})")
-        elif suite == "genfunc":
-            q = co.build_q_table(args.order)
-            c = co.build_c_table(q)
-            from .series import UniSeries
-
-            diag = UniSeries.from_terms(
-                "z", args.order, {k: c.get(k, k) for k in range(1, args.order + 1)}
-            )
-            p = co.p_series(args.order)
-            ok = diag.exp() == p and co.diag_ode_residual(q, args.order).is_zero()
-            if ok:
-                spots = ", ".join(
-                    f"p_{k} = {p.coeff(k)}" for k in range(1, min(3, args.order) + 1)
-                )
-                print(f"PASS genfunc: diagonal series matched; {spots}")
-            else:
-                failures += 1
-                print("FAIL genfunc: diagonal generating series mismatch")
-        elif suite == "crosscheck":
-            g_max = min(args.order, 14)
-            q = co.build_q_table(max(g_max, 1))
-            from .relations import cross_pipeline_check
-
-            _, bad = cross_pipeline_check(q, co.build_c_table(q), g_max)
-            if bad is None:
-                print("PASS crosscheck: both extraction pipelines proportional")
-            else:
-                failures += 1
-                print(f"FAIL crosscheck: {bad}")
-    return 1 if failures else 0
+    package = sys.modules[__package__]
+    q = co.build_q_table(args.order)
+    c = co.build_c_table(q)
+    failed = False
+    for suite in _suites(args.suite):
+        summary, failures = getattr(package, VERIFY_SUITES[suite][1])(q, c, args.order)
+        for msg in failures:
+            print(f"FAIL {suite}: {msg}")
+        if not failures:
+            print(f"PASS {suite}: {summary}")
+        failed = failed or bool(failures)
+    return 1 if failed else 0
 
 
 def _cmd_relation(args) -> int:
@@ -308,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         required=True,
-        choices=("identities", "ode", "genfunc", "crosscheck", "all"),
+        choices=(*VERIFY_SUITES, "all"),
     )
     p.add_argument("--order", type=int, required=True)
     p.set_defaults(func=_cmd_verify)
@@ -337,7 +312,7 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         if args.max_k < (1 if args.table in ("c", "alpha") else 0):
             parser.error(f"--max-k {args.max_k} out of range for table {args.table}")
     elif args.command == "verify":
-        if args.order < (2 if args.suite in ("ode", "all") else 1):
+        if args.order < max(VERIFY_SUITES[suite][0] for suite in _suites(args.suite)):
             parser.error(f"--order {args.order} out of range for suite {args.suite}")
     elif args.command == "relation":
         if args.g < 2 or args.d < 2 or args.b < 0:

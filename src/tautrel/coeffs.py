@@ -21,7 +21,7 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from .exact import BernoulliTable, bernoulli_table
-from .series import BiSeries, UniSeries, binomial_series_coeffs, binomial_unit_pow
+from .series import BiSeries, UniSeries, binomial_series_coeffs
 
 __all__ = [
     "QTable",
@@ -37,8 +37,8 @@ __all__ = [
     "ode_check_failures",
     "q_functional_equation_residual",
     "diag_ode_residual",
+    "genfunc_check",
     "remark_identity_failures",
-    "IdentityReport",
     "verify_coeff_identities",
 ]
 
@@ -321,12 +321,13 @@ def ode_residual(alpha: AlphaTable) -> BiSeries:
     return t1 - t2 - t3 + one
 
 
-def ode_check_failures(q: QTable, c: CTable, n: int) -> list[str]:
-    """Solve the ODE through (n, n) and check it three ways; [] when all hold.
+def ode_check_failures(q: QTable, c: CTable, n: int) -> tuple[str, list[str]]:
+    """Solve the ODE through (n, n) and check it three ways.
 
     The residual of the defining equation must vanish, the solution must
     equal its closed form in c, and its w-derivative the closed form in q.
-    Needs n >= 2 and both tables sized n - 1 or more.
+    Needs n >= 2 and both tables sized n - 1 or more.  Returns a summary
+    and the failure messages, [] when all hold.
     """
     alpha = solve_series_ode(n, n)
     series = alpha.to_series()
@@ -337,7 +338,7 @@ def ode_check_failures(q: QTable, c: CTable, n: int) -> list[str]:
         failures.append("closed form differs from the solved series")
     if series.derivative(1) != expand_w_deriv_closed(q, n, n).truncate((n, n - 1)):
         failures.append("derivative closed form differs")
-    return failures
+    return f"alpha vs closed-form: match through ({n},{n})", failures
 
 
 def q_functional_equation_residual(q: QTable, n_x: int, n_u: int) -> BiSeries:
@@ -366,7 +367,8 @@ def q_functional_equation_residual(q: QTable, n_x: int, n_u: int) -> BiSeries:
     uq_du = qq.shift(1, 1).derivative(1)
     one4u = BiSeries(vars_xu, (n_x, m), {(0, 0): Fraction(1), (0, 1): Fraction(4)})
     inner = one4u * uq_du + (qq * qq).shift(1, 1).truncate((n_x, m))
-    root = binomial_unit_pow(Fraction(4), Fraction(1, 2), vars_xu, (n_x, m), axis=1)
+    sqrt = binomial_series_coeffs(Fraction(4), Fraction(1, 2), m)
+    root = BiSeries(vars_xu, (n_x, m), {(0, t): v for t, v in enumerate(sqrt)})
     rhs = (root * inner).shift(0, 1).truncate((n_x, m)) + BiSeries.one(vars_xu, (n_x, m))
     return (qq - rhs).truncate((n_x, n_u))
 
@@ -394,13 +396,29 @@ def diag_ode_residual(q: QTable, k_max: int) -> UniSeries:
     return d - t1.truncate(n) - d * d - inhom
 
 
-def remark_identity_failures(
-    q: QTable, bern: BernoulliTable, k_max: int
-) -> list[dict]:
+def genfunc_check(q: QTable, c: CTable, k_max: int) -> tuple[str, list[str]]:
+    """Check the diagonal generating series through z^k_max, two ways.
+
+    exp(sum_k c[k][k] z^k) must equal P(z), and D(z) = sum_k q[k][k] z^(k+1)
+    must solve its Riccati equation.  Returns a summary naming p_1..p_3
+    and the failure messages, [] when both hold.
+    """
+    diag = UniSeries.from_terms("z", k_max, {k: c.get(k, k) for k in range(1, k_max + 1)})
+    p = p_series(k_max)
+    failures = []
+    if diag.exp() != p:
+        failures.append(f"diag_exponential: exp of the c diagonal is not P(z) through z^{k_max}")
+    if not diag_ode_residual(q, k_max).is_zero():
+        failures.append(f"diag_functional_equation: nonzero residual through z^{k_max}")
+    spots = ", ".join(f"p_{k} = {p.coeff(k)}" for k in range(1, min(3, k_max) + 1))
+    return f"diagonal series matched; {spots}", failures
+
+
+def remark_identity_failures(q: QTable, bern: BernoulliTable, k_max: int) -> list[str]:
     """Check B_{k+1}/(k(k+1)) = (1/4) sum_l (-4)^(-l) q[k][l] l! / prod_i (k/2+i).
 
     The product runs over i = 0..l, so the half-integer factorial ratio is
-    evaluated as an exact rational.  Returns one entry per failing k.
+    evaluated as an exact rational.  Returns one message per failing k.
     """
     failures = []
     for k in range(1, k_max + 1):
@@ -416,92 +434,49 @@ def remark_identity_failures(
             rhs += Fraction(-4) ** (-l) * q.get(k, l) * fact / prod
         rhs /= 4
         if lhs != rhs:
-            failures.append(
-                {"identity": "bernoulli_remark", "k": k, "expected": str(lhs), "actual": str(rhs)}
-            )
+            failures.append(f"bernoulli_remark at k={k}: expected {lhs}, got {rhs}")
     return failures
 
 
-class IdentityReport:
-    """Outcome of the exact identity battery over the coefficient tables."""
-
-    def __init__(self, k_max: int):
-        self.k_max = k_max
-        self.checked = 0
-        self.failures: list[dict] = []
-
-    def __repr__(self) -> str:
-        return (
-            f"IdentityReport(k_max={self.k_max}, checked={self.checked},"
-            f" failures={self.failures!r})"
-        )
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def _fail(self, identity: str, **info) -> None:
-        entry = {"identity": identity}
-        entry.update({k: str(v) for k, v in info.items()})
-        self.failures.append(entry)
-
-
-def verify_coeff_identities(k_max: int, functional_order: int | None = None) -> IdentityReport:
+def verify_coeff_identities(q: QTable, c: CTable, k_max: int) -> tuple[str, list[str]]:
     """Run every exact cross-identity between the tables up to k_max.
 
-    Checks: diagonal and subdiagonal ties between the two triangles, the
-    Bernoulli closed form of column zero, the exponential/diagonal
-    generating-series identity, both functional equations, the
-    Bernoulli-sum identity, and positivity of the integer triangle.
+    Checks: positivity of the integer triangle, diagonal and subdiagonal
+    ties between the two triangles, the Bernoulli closed form of column
+    zero, both diagonal checks of ``genfunc_check``, the bivariate
+    functional equation through order min(k_max, 12), and the
+    Bernoulli-sum identity.  Returns a summary with the number of checks
+    and the failure messages, [] when all hold.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    rep = IdentityReport(k_max)
-    q = build_q_table(k_max)
-    c = build_c_table(q)
     bern = bernoulli_table(k_max + 1)
-
+    failures = []
+    checked = 0
     for k in range(k_max + 1):
         for j in range(k + 1):
-            rep.checked += 1
+            checked += 1
             if q.get(k, j) <= 0:
-                rep._fail("q_positive", k=k, j=j, actual=q.get(k, j))
-
+                failures.append(f"q_positive at k={k}, j={j}: got {q.get(k, j)}")
     for k in range(1, k_max + 1):
-        rep.checked += 1
-        if q.get(k, k) != 6 * k * c.get(k, k):
-            rep._fail("diag_six_k", k=k, expected=q.get(k, k), actual=6 * k * c.get(k, k))
-        rep.checked += 1
-        if q.get(k, k) != 60 * c.get(k, k - 1):
-            rep._fail("diag_sixty", k=k, expected=q.get(k, k), actual=60 * c.get(k, k - 1))
-        rep.checked += 1
-        if 10 * q.get(k, k - 1) != (k + 1) * q.get(k, k):
-            rep._fail(
-                "subdiag_ratio", k=k, expected=(k + 1) * q.get(k, k), actual=10 * q.get(k, k - 1)
-            )
-        rep.checked += 1
-        expected = bern[k + 1] / (k * (k + 1))
-        if c.get(k, 0) != expected:
-            rep._fail("column_zero_bernoulli", k=k, expected=expected, actual=c.get(k, 0))
+        for identity, want, got in (
+            ("diag_six_k", q.get(k, k), 6 * k * c.get(k, k)),
+            ("diag_sixty", q.get(k, k), 60 * c.get(k, k - 1)),
+            ("subdiag_ratio", (k + 1) * q.get(k, k), 10 * q.get(k, k - 1)),
+            ("column_zero_bernoulli", bern[k + 1] / (k * (k + 1)), c.get(k, 0)),
+        ):
+            checked += 1
+            if got != want:
+                failures.append(f"{identity} at k={k}: expected {want}, got {got}")
 
-    diag = UniSeries.from_terms(
-        "z", k_max, {k: c.get(k, k) for k in range(1, k_max + 1)}
-    )
-    rep.checked += 1
-    if diag.exp() != p_series(k_max):
-        rep._fail("diag_exponential", k=k_max)
+    failures += genfunc_check(q, c, k_max)[1]
+    checked += 2
 
-    rep.checked += 1
-    if not diag_ode_residual(q, k_max).is_zero():
-        rep._fail("diag_functional_equation", k=k_max)
-
-    n = functional_order if functional_order is not None else min(k_max, 12)
-    rep.checked += 1
+    n = min(k_max, 12)
+    checked += 1
     if not q_functional_equation_residual(q, n, n).is_zero():
-        rep._fail("bivariate_functional_equation", order=n)
+        failures.append(f"bivariate_functional_equation: nonzero residual through order {n}")
 
-    for entry in remark_identity_failures(q, bern, k_max):
-        rep.failures.append(entry)
-    rep.checked += k_max
-
-    return rep
+    failures += remark_identity_failures(q, bern, k_max)
+    checked += k_max
+    return f"{checked} exact checks to k={k_max}", failures

@@ -38,6 +38,7 @@ __all__ = [
     "independence_report",
     "weighted_monomials",
     "rank_exact",
+    "cross_pipeline_cells",
     "cross_pipeline_check",
 ]
 
@@ -324,13 +325,10 @@ def independence_report(g: int, a: int, q: QTable, c: CTable) -> IndependenceRep
     return rep
 
 
-def cross_pipeline_check(q: QTable, c: CTable, g_max: int) -> tuple[int, str | None]:
-    """Compare the exponential and ODE extraction pipelines cell by cell.
+def cross_pipeline_cells(g_max: int) -> list[tuple[int, int, int, int]]:
+    """Every (g, d, b, n) with 2 <= g <= g_max and b <= 4 that has a relation.
 
-    Every (g, d, b) with 2 <= g <= g_max and b <= 4 is extracted both
-    ways, from one shared exponential and one alpha table; the ODE
-    relation must equal (-1)^d times the exponential one.  Returns the
-    number of cells that agree and the first mismatch, or None.
+    n is the x-exponent of the relation's cell, from ``relation_window``.
     """
     cells = []
     for g in range(2, g_max + 1):
@@ -340,15 +338,29 @@ def cross_pipeline_check(q: QTable, c: CTable, g_max: int) -> tuple[int, str | N
                     cells.append((g, d, b, relation_window(g, d, b)))
                 except ValueError:  # this (g, d, b) has no cell
                     continue
-    if not cells:
-        return 0, None
+    return cells
+
+
+def cross_pipeline_check(q: QTable, c: CTable, order: int) -> tuple[str, list[str]]:
+    """Compare the exponential and ODE extraction pipelines cell by cell.
+
+    Every cell of ``cross_pipeline_cells(min(order, 14))`` (238 at the cap)
+    is extracted both ways, from one shared exponential and one alpha
+    table; the ODE relation must equal (-1)^d times the exponential one.
+    Needs order >= 2, where the first cells appear.  Returns a summary and
+    the first mismatch as a one-item list, or [] when every cell agrees.
+    """
+    if order < 2:
+        raise ValueError("need order >= 2")
+    cells = cross_pipeline_cells(min(order, 14))
     n_x = max(n for *_, n in cells)
     n_u = max(d for _, d, _, _ in cells)
     shared = kappa_exponential(c, n_x, n_u)
     alpha = solve_series_ode(n_x + 1, n_u)
-    for checked, (g, d, b, _) in enumerate(cells):
+    summary = "both extraction pipelines proportional"
+    for g, d, b, _ in cells:
         r1 = extract_relation(g, d, b, q, c, exp_series=shared)
         r2 = extract_relation_from_ode(g, d, b, alpha)
         if r2.poly != r1.poly.scale((-1) ** d):
-            return checked, f"(g={g}, d={d}, b={b}) pipelines disagree"
-    return len(cells), None
+            return summary, [f"(g={g}, d={d}, b={b}) pipelines disagree"]
+    return summary, []

@@ -15,7 +15,6 @@ __all__ = [
     "UniSeries",
     "BiSeries",
     "binomial_series_coeffs",
-    "binomial_unit_pow",
 ]
 
 _ZERO = Fraction(0)
@@ -329,21 +328,4 @@ class BiSeries:
 
     def __repr__(self) -> str:
         return f"BiSeries({self.vars}, {self.orders}, {len(self.coeffs)} terms)"
-
-
-def binomial_unit_pow(
-    c: Fraction,
-    e: Fraction,
-    vars: tuple[str, str],
-    orders: tuple[int, int],
-    axis: int = 1,
-) -> BiSeries:
-    """(1 + c*v)^e as a BiSeries, where v is the variable on the given axis."""
-    order = orders[axis]
-    cs = binomial_series_coeffs(c, e, order)
-    if axis == 0:
-        terms = {(k, 0): v for k, v in enumerate(cs)}
-    else:
-        terms = {(0, k): v for k, v in enumerate(cs)}
-    return BiSeries(vars, orders, terms)
 

@@ -297,19 +297,6 @@ class KappaPoly:
 
         return [(_decode(k), Fraction(num[k], den)) for k in sorted(num, key=key)]
 
-    def __str__(self) -> str:
-        if not self._num:
-            return "0"
-        parts = []
-        for m, v in self.sorted_terms():
-            factors = []
-            for idx, e in m:
-                name = "psi" if idx == 0 else f"k{idx}"
-                factors.append(name if e == 1 else f"{name}^{e}")
-            body = "*".join(factors) if factors else "1"
-            parts.append(f"({v})*{body}" if factors else f"({v})")
-        return " + ".join(parts)
-
     def __repr__(self) -> str:
         return f"KappaPoly({len(self._num)} terms)"
 

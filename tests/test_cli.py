@@ -227,10 +227,42 @@ def test_verify_suites(capsys):
         main(["verify", "--suite", "identities", "--order", "0"])
 
 
+def test_verify_all_output_is_pinned(capsys):
+    code, out = run(capsys, "verify", "--suite", "all", "--order", "8")
+    assert code == 0
+    assert out == (
+        "PASS identities: 88 exact checks to k=8\n"
+        "PASS ode: alpha vs closed-form: match through (8,8)\n"
+        "PASS genfunc: diagonal series matched; p_1 = 5/6, p_2 = 385/72, p_3 = 85085/1296\n"
+        "PASS crosscheck: both extraction pipelines proportional\n"
+    )
+
+
+@pytest.mark.parametrize("suite", ["identities", "ode", "genfunc", "crosscheck", "all"])
+def test_verify_fails_on_one_wrong_c_entry(capsys, monkeypatch, suite):
+    from tautrel import coeffs
+
+    build = coeffs.build_c_table
+
+    def wrong_c(q):
+        c = build(q)
+        rows = [list(r) for r in c.rows]
+        rows[1][2] += 1  # c[2][2]
+        return coeffs.CTable(c.k_max, tuple(tuple(r) for r in rows))
+
+    monkeypatch.setattr(coeffs, "build_c_table", wrong_c)
+    code, out = run(capsys, "verify", "--suite", suite, "--order", "8")
+    assert code == 1
+    ran = ["identities", "ode", "genfunc", "crosscheck"] if suite == "all" else [suite]
+    # every line is a FAIL line, and every suite that ran printed one
+    assert {line.split(":")[0] for line in out.splitlines()} == {f"FAIL {s}" for s in ran}, out
+
+
 def test_orders_too_small_for_the_table_exit_2():
-    # the ode suite needs a w-order of 2; the alpha table an order of 1
+    # the ode and crosscheck suites need an order of 2; the alpha table 1
     for argv in (
         ["verify", "--suite", "ode", "--order", "1"],
+        ["verify", "--suite", "crosscheck", "--order", "1"],
         ["verify", "--suite", "all", "--order", "1"],
         ["coeffs", "--table", "alpha", "--max-k", "0"],
     ):

@@ -191,33 +191,35 @@ def test_remark_identity(q20):
 # ------------------------------------------------------------ identity suite
 
 def test_verify_identities_small():
-    rep = verify_coeff_identities(2)
-    assert rep.ok
-    assert rep.checked > 10
+    q = build_q_table(2)
+    summary, failures = verify_coeff_identities(q, build_c_table(q), 2)
+    assert failures == []
+    assert summary == "19 exact checks to k=2"
 
 
-def test_verify_identities_medium():
-    rep = verify_coeff_identities(12)
-    assert rep.ok, rep.failures[:3]
+def test_verify_identities_medium(q20, c20):
+    summary, failures = verify_coeff_identities(q20, c20, 12)
+    assert failures == [], failures[:3]
+    assert summary == "154 exact checks to k=12"
 
 
-def test_verify_identities_rejects_bad_order():
+def test_verify_identities_rejects_bad_order(q20, c20):
     with pytest.raises(ValueError):
-        verify_coeff_identities(0)
+        verify_coeff_identities(q20, c20, 0)
 
 
 def test_ode_check_failures_catch_wrong_tables():
     q = build_q_table(7)
     c = build_c_table(q)
-    assert ode_check_failures(q, c, 8) == []
+    assert ode_check_failures(q, c, 8) == ("alpha vs closed-form: match through (8,8)", [])
     rows = [list(r) for r in c.rows]
     rows[2][1] += 1  # c[3][1]
     wrong_c = CTable(c.k_max, tuple(tuple(r) for r in rows))
-    assert ode_check_failures(q, wrong_c, 8) == ["closed form differs from the solved series"]
+    assert ode_check_failures(q, wrong_c, 8)[1] == ["closed form differs from the solved series"]
     rows = [list(r) for r in q.rows]
     rows[3][1] += 1  # q[3][1]
     wrong_q = QTable(q.k_max, tuple(tuple(r) for r in rows))
-    assert ode_check_failures(wrong_q, c, 8) == ["derivative closed form differs"]
+    assert ode_check_failures(wrong_q, c, 8)[1] == ["derivative closed form differs"]
 
 
 def test_ode_check_failures_catch_one_wrong_alpha_entry(monkeypatch):
@@ -228,6 +230,6 @@ def test_ode_check_failures_catch_one_wrong_alpha_entry(monkeypatch):
     rows[3][2] += F(1, rows[3][2].denominator)
     wrong = AlphaTable(good.orders, tuple(tuple(r) for r in rows))
     monkeypatch.setattr(coeffs, "solve_series_ode", lambda n_x, n_w: wrong)
-    failures = ode_check_failures(q, c, 8)
+    _, failures = ode_check_failures(q, c, 8)
     assert "nonzero residual in the defining equation" in failures
     assert "closed form differs from the solved series" in failures

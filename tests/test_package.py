@@ -11,7 +11,6 @@ import pytest
 
 import tautrel
 from tautrel import (
-    IdentityReport,
     IndependenceReport,
     ScanReport,
     build_c_table,
@@ -87,6 +86,20 @@ def test_relation_loads_neither_relations_nor_dataclasses():
     assert "dataclasses" not in mods
 
 
+@pytest.mark.parametrize("suite", ["identities", "ode", "genfunc"])
+def test_table_suites_load_neither_tautring_nor_relations(suite):
+    rc, mods = loaded_by("verify", "--suite", suite, "--order", "4")
+    assert rc == 0
+    assert "tautrel.coeffs" in mods
+    assert not {"tautrel.tautring", "tautrel.relations"} & mods
+
+
+def test_crosscheck_loads_relations():
+    rc, mods = loaded_by("verify", "--suite", "crosscheck", "--order", "4")
+    assert rc == 0
+    assert "tautrel.relations" in mods
+
+
 def test_coeffs_q_does_not_load_tautring():
     rc, mods = loaded_by("coeffs", "--table", "q", "--max-k", "4")
     assert rc == 0
@@ -154,6 +167,3 @@ def test_reports_do_not_share_lists():
     c, d = IndependenceReport(8, 3), IndependenceReport(8, 3)
     c.pairs.append({"d": 2, "b": 0, "nonzero": True})
     assert d.pairs == []
-    e, f = IdentityReport(4), IdentityReport(4)
-    e.failures.append({"identity": "x"})
-    assert f.failures == [] and f.ok

@@ -6,6 +6,7 @@ from tautrel import (
     CTable,
     FaberConsistencyError,
     KappaPoly,
+    cross_pipeline_cells,
     cross_pipeline_check,
     extract_relation,
     faber_choose,
@@ -218,14 +219,17 @@ def test_faber_consistency_error_is_raised_on_fabricated_zero(q20, c20):
 # ------------------------------------------------------ cross-pipeline check
 
 def test_cross_pipeline_check_catches_one_wrong_c_entry(q20, c20):
-    cells, mismatch = cross_pipeline_check(q20, c20, 8)
-    assert mismatch is None and cells > 40
+    assert cross_pipeline_check(q20, c20, 8) == ("both extraction pipelines proportional", [])
+    assert len(cross_pipeline_cells(8)) > 40
     # c[2][1] off by one reaches the exponential route only: the ODE route
     # solves its own alpha table
     rows = [list(r) for r in c20.rows]
     rows[1][1] += 1
     wrong = CTable(c20.k_max, tuple(tuple(r) for r in rows))
-    checked, mismatch = cross_pipeline_check(q20, wrong, 8)
-    assert checked < cells
-    assert mismatch is not None and mismatch.endswith("pipelines disagree")
+    _, failures = cross_pipeline_check(q20, wrong, 8)
+    assert failures == ["(g=5, d=2, b=1) pipelines disagree"]
 
+
+def test_cross_pipeline_check_rejects_order_below_2(q20, c20):
+    with pytest.raises(ValueError):
+        cross_pipeline_check(q20, c20, 1)

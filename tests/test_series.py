@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tautrel import (
-    BiSeries,
-    UniSeries,
-    binomial_series_coeffs,
-    binomial_unit_pow,
-)
+from tautrel import BiSeries, UniSeries, binomial_series_coeffs
 
 from oracles import bi_exp, coeff_via_change_of_vars, ref_bi_mul, ref_uni_mul
 
@@ -150,22 +145,19 @@ def test_dump_format():
 
 # ------------------------------------------------- generalized binomial pow
 
-def test_binomial_unit_pow_examples():
-    half = binomial_unit_pow(F(4), F(1, 2), XU, (0, 2))
-    assert [half.coeff(0, k) for k in range(3)] == [F(1), F(2), F(-2)]
-    zero = binomial_unit_pow(F(4), F(0), XU, (0, 2))
-    assert zero == BiSeries.one(XU, (0, 2))
-    inv = binomial_unit_pow(F(4), F(-1), XU, (0, 2))
-    assert [inv.coeff(0, k) for k in range(3)] == [F(1), F(-4), F(16)]
+def test_binomial_series_examples():
+    assert binomial_series_coeffs(F(4), F(1, 2), 2) == [F(1), F(2), F(-2)]
+    assert binomial_series_coeffs(F(4), F(0), 2) == [F(1), F(0), F(0)]
+    assert binomial_series_coeffs(F(4), F(-1), 2) == [F(1), F(-4), F(16)]
 
 
-def test_binomial_unit_pow_group_law():
+def test_binomial_series_exponents_add():
     exps = [F(1, 2), F(-1, 2), F(3, 2), F(-2), F(5)]
     for e1 in exps:
         for e2 in exps:
-            a = binomial_unit_pow(F(4), e1, XU, (0, 6))
-            b = binomial_unit_pow(F(4), e2, XU, (0, 6))
-            c = binomial_unit_pow(F(4), e1 + e2, XU, (0, 6))
+            a = UniSeries("u", 6, binomial_series_coeffs(F(4), e1, 6))
+            b = UniSeries("u", 6, binomial_series_coeffs(F(4), e2, 6))
+            c = UniSeries("u", 6, binomial_series_coeffs(F(4), e1 + e2, 6))
             assert a * b == c
 
 
