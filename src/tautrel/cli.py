@@ -215,7 +215,11 @@ def _cmd_relation(args) -> int:
     from . import tautring as tr
 
     try:
-        q = co.build_q_table(max(tr.relation_window(args.g, args.d, args.b, args.psi), 1))
+        n = tr.relation_window(args.g, args.d, args.b, args.psi)
+        top = n if args.psi else args.g + 1 + args.b - 2 * args.d  # the relation's degree
+        if top > tr.MAX_INDEX:  # no generator index of a relation exceeds its degree
+            raise ValueError(f"generator index {top} outside 0..{tr.MAX_INDEX}")
+        q = co.build_q_table(max(n, 1))
         c = co.build_c_table(q)
         if args.psi:
             out = tr.extract_psi_relation(args.g, args.d, q, c)
@@ -233,8 +237,10 @@ def _cmd_faber(args) -> int:
     from . import relations as rel
     from . import tautring as tr
 
-    size = max(args.g, 1)
-    q = co.build_q_table(size)
+    if args.g - 2 > tr.MAX_INDEX:  # faber solves for kappa_{g-2} last
+        print(f"error: generator index {args.g - 2} outside 0..{tr.MAX_INDEX}", file=sys.stderr)
+        return 2
+    q = co.build_q_table(max(args.g, 1))
     c = co.build_c_table(q)
     try:
         exprs = rel.faber_solve(args.g, q, c, rewrite=args.rewrite)

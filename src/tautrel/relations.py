@@ -112,9 +112,7 @@ def faber_solve(
     if not targets:
         return []
     choices = [faber_choose(g, a) for a in targets]
-    n_x = max(relation_window(g, ch.d, ch.b) for ch in choices)
-    n_u = max(ch.d for ch in choices)
-    shared = kappa_exponential(c, n_x, n_u)
+    shared = kappa_exponential(c, [(relation_window(g, ch.d, ch.b), ch.d) for ch in choices])
 
     reduced: dict[int, KappaPoly] = {}
     power_cache: dict = {}
@@ -188,10 +186,10 @@ def scan_nonvanishing(
     if q.k_max < a_max or c.k_max < a_max:
         raise ValueError("tables too small for the requested scan")
     rep = ScanReport(a_max)
-    shared = None
-    if sample_max >= 2:
-        lim = min(sample_max, a_max)
-        shared = kappa_exponential(c, lim, lim)
+    # the sample reads the b = 1 relation of (a, d) at the cell (x^a, u^d)
+    lim = min(sample_max, a_max)
+    windows = [(a, d) for a in range(2, lim + 1) for d in range(2, a + 1)]
+    shared = kappa_exponential(c, windows) if windows else None
     for a in range(1, a_max + 1):
         for d in range(1, a + 1):
             cad = c.get(a, d)
@@ -307,9 +305,7 @@ def independence_report(g: int, a: int, q: QTable, c: CTable) -> IndependenceRep
     ]
     if not cells:
         return rep
-    n_x = max(x for (_, _, x) in cells)
-    n_u = max(d for (d, _, _) in cells)
-    shared = kappa_exponential(c, n_x, n_u)
+    shared = kappa_exponential(c, [(x, d) for d, _, x in cells])
     polys: list[KappaPoly] = []
     for d, b, _ in cells:
         rel = extract_relation(g, d, b, q, c, exp_series=shared)
@@ -353,10 +349,8 @@ def cross_pipeline_check(q: QTable, c: CTable, order: int) -> tuple[str, list[st
     if order < 2:
         raise ValueError("need order >= 2")
     cells = cross_pipeline_cells(min(order, 14))
-    n_x = max(n for *_, n in cells)
-    n_u = max(d for _, d, _, _ in cells)
-    shared = kappa_exponential(c, n_x, n_u)
-    alpha = solve_series_ode(n_x + 1, n_u)
+    shared = kappa_exponential(c, [(n, d) for _, d, _, n in cells])
+    alpha = solve_series_ode(max(n for *_, n in cells) + 1, max(d for _, d, _, _ in cells))
     summary = "both extraction pipelines proportional"
     for g, d, b, _ in cells:
         r1 = extract_relation(g, d, b, q, c, exp_series=shared)

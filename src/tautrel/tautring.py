@@ -395,40 +395,47 @@ def weighted_monomials(degree: int) -> list[Mono]:
 
 
 class PolySeries:
-    """Bivariate truncated series whose coefficients are KappaPoly values."""
+    """Bivariate truncated series whose coefficients are KappaPoly values.
 
-    __slots__ = ("vars", "orders", "cells")
+    Row i of the first variable holds the cells j <= limits[i] of the
+    second; the limits never increase with i (a staircase, of which the
+    rectangle is the constant case).
+    """
+
+    __slots__ = ("vars", "limits", "cells")
 
     def __init__(
         self,
         vars: tuple[str, str],
-        orders: tuple[int, int],
+        limits: list[int],
         cells: dict[tuple[int, int], KappaPoly],
     ):
         self.vars = vars
-        self.orders = orders
+        self.limits = tuple(limits)
         self.cells = {k: p for k, p in cells.items() if not p.is_zero()}
 
     def coeff(self, i: int, j: int) -> KappaPoly:
-        n1, n2 = self.orders
-        if not 0 <= i <= n1 or not 0 <= j <= n2:
-            raise ValueError(f"cell ({i}, {j}) outside orders {self.orders}")
+        if not self.covers(i, j):
+            raise ValueError(f"cell ({i}, {j}) outside the row limits {self.limits}")
         return self.cells.get((i, j), KappaPoly())
 
     def covers(self, i: int, j: int) -> bool:
-        return i <= self.orders[0] and j <= self.orders[1]
+        return 0 <= i < len(self.limits) and 0 <= j <= self.limits[i]
 
 
 def _exp_from_slices(
-    slices: dict[int, dict[int, KappaPoly]], n1: int, n2: int
+    slices: dict[int, dict[int, KappaPoly]], limits: list[int]
 ) -> dict[tuple[int, int], KappaPoly]:
-    """exp of sum_{m>=1} slice_m * v1^m, cellwise through (n1, n2).
+    """exp of sum_{m>=1} slice_m * v1^m, cellwise on the cells j <= limits[i].
 
     Uses the derivative recurrence in the first variable:
-    i * e_i = sum_m m * s_m * e_{i-m}, one kernel call per cell.
+    i * e_i = sum_m m * s_m * e_{i-m}, one kernel call per cell.  The
+    limits must not increase with i, so that every cell the recurrence
+    reads, (i-m, j' <= j), lies inside them.
     """
     e: list[dict[int, KappaPoly]] = [{0: _UNIT_POLY}]
-    for i in range(1, n1 + 1):
+    for i in range(1, len(limits)):
+        top = limits[i]
         buckets: dict[int, list[tuple[KappaPoly, KappaPoly, int]]] = {}
         for m in range(1, i + 1):
             sm = slices.get(m)
@@ -438,7 +445,7 @@ def _exp_from_slices(
             for jm, p in sm.items():
                 for je, qp in em.items():
                     j = jm + je
-                    if j <= n2:
+                    if j <= top:
                         buckets.setdefault(j, []).append((p, qp, m))
         e.append({j: _sum_of_products(pairs, div=i) for j, pairs in buckets.items()})
     out: dict[tuple[int, int], KappaPoly] = {}
@@ -449,20 +456,36 @@ def _exp_from_slices(
     return out
 
 
-def kappa_exponential(c: CTable, n_x: int, n_u: int) -> PolySeries:
-    """exp(-sum_{a>=1} x^a kappa_a sum_{j<=a} c[a][j] u^j), truncated."""
+def kappa_exponential(c: CTable, windows: list[tuple[int, int]]) -> PolySeries:
+    """exp(-sum_{a>=1} x^a kappa_a sum_{j<=a} c[a][j] u^j) on a staircase.
+
+    ``windows`` lists the cells (x^n, u^d) the caller will read, directly
+    or through a second factor (whose reads (n-i, d-j) stay below (n, d)).
+    Row i is built through u^J(i), with J(i) = max{d : (n, d) in windows,
+    n >= i}; one window (n, d) gives the full rectangle.
+    """
+    if not windows:
+        raise ValueError("need at least one (n, d) window")
+    if any(n < 0 or d < 0 for n, d in windows):
+        raise ValueError(f"negative window in {windows!r}")
+    n_x = max(n for n, _ in windows)
     if c.k_max < n_x:
         raise ValueError(f"c table sized {c.k_max}, need {n_x}")
+    limits = [0] * (n_x + 1)
+    for n, d in windows:
+        limits[n] = max(limits[n], d)
+    for i in range(n_x - 1, -1, -1):
+        limits[i] = max(limits[i], limits[i + 1])
     slices: dict[int, dict[int, KappaPoly]] = {}
     for a in range(1, n_x + 1):
         row = {}
-        for j in range(0, min(a, n_u) + 1):
+        for j in range(0, min(a, limits[a]) + 1):
             cv = c.get(a, j)
             if cv:
                 row[j] = KappaPoly.gen(a, coeff=-cv)
         if row:
             slices[a] = row
-    return PolySeries(("x", "u"), (n_x, n_u), _exp_from_slices(slices, n_x, n_u))
+    return PolySeries(("x", "u"), limits, _exp_from_slices(slices, limits))
 
 
 class TautRelation(NamedTuple):
@@ -542,9 +565,9 @@ def _extract(
     """
     n = relation_window(g, d, b, psi)
     if exp_series is None:
-        exp_series = kappa_exponential(c, n, d)
+        exp_series = kappa_exponential(c, [(n, d)])
     elif not exp_series.covers(n, d):
-        raise ValueError(f"shared exponential orders {exp_series.orders} too small")
+        raise ValueError(f"shared exponential does not cover the cell ({n}, {d})")
     if b == 0 and not psi:
         return exp_series.coeff(n, d)
     f2: dict[tuple[int, int], KappaPoly] = {}
@@ -571,8 +594,10 @@ def extract_relation(
     b >= 1 the exponential times the second factor is read at
     (x^(g+2-2d), u^d).  The zero polynomial is a legal, degenerate result.
 
-    ``exp_series`` may carry a precomputed exponential of sufficient
-    orders so grids of extractions can share one.
+    ``exp_series`` may carry a precomputed exponential whose windows
+    include (relation_window(g, d, b), d), so grids of extractions can
+    share one; a shared exponential that does not cover that cell raises
+    ValueError.
     """
     poly = _extract(g, d, b, False, q, c, exp_series)
     return TautRelation(g=g, d=d, b=b, degree=g + 1 + b - 2 * d, poly=poly)
@@ -613,7 +638,7 @@ def extract_relation_from_ode(g: int, d: int, b: int, alpha: AlphaTable) -> Taut
                 row[j] = KappaPoly.gen(a - 1, coeff=av)
         if row:
             slices[a - 1] = row
-    e_rest = _exp_from_slices(slices, t_exp, d)
+    e_rest = _exp_from_slices(slices, [d] * (t_exp + 1))
     ef0 = [KappaPoly.scalar(v) for v in f0.exp().coeffs]
     buckets: dict[tuple[int, int], list[tuple[KappaPoly, KappaPoly, int]]] = {}
     for (i, j2), p in e_rest.items():
@@ -621,7 +646,7 @@ def extract_relation_from_ode(g: int, d: int, b: int, alpha: AlphaTable) -> Taut
             if not ef0[j1].is_zero():
                 buckets.setdefault((i, j1 + j2), []).append((p, ef0[j1], 1))
     cells = {key: _sum_of_products(pairs) for key, pairs in buckets.items()}
-    e_full = PolySeries(("t", "w"), (t_exp, d), cells)
+    e_full = PolySeries(("t", "w"), [d] * (t_exp + 1), cells)
 
     if b == 0:
         poly = e_full.coeff(t_exp, d)
@@ -669,7 +694,7 @@ def extract_diagonal_relation(g: int, b: int, a: int, c: CTable) -> DiagonalRela
         for j in range(1, a + 1)
         if c.get(j, j)
     }
-    e = _exp_from_slices(slices, a, 0)
+    e = _exp_from_slices(slices, [0] * (a + 1))
     if b == 0:
         poly = e.get((a, 0), KappaPoly())
     else:

@@ -87,7 +87,7 @@ def test_criterion_5_relation_golden_values(q60, c60):
 
 
 def test_criterion_6_leading_coefficient_laws(q60, c60):
-    shared = kappa_exponential(c60, 16, 9)
+    shared = kappa_exponential(c60, [(16, 9)])
     cells = 0
     for g in range(2, 17):
         for d in range(2, (g + 2) // 2 + 1):

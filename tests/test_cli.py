@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,34 @@ def test_relation_out_of_range(capsys):
     # generator kappa_{a+b} past the packed-monomial index limit
     code = main(["relation", "--g", "10", "--d", "2", "--b", "1100"])
     assert code == 2 and "outside 0..1023" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["relation", "--g", "1030", "--d", "2"],
+        ["relation", "--g", "1030", "--d", "2", "--psi"],
+        ["faber", "--g", "1026"],
+        ["faber", "--g", "1100"],
+    ],
+)
+def test_requests_past_the_generator_range_exit_2_at_once(capsys, argv):
+    # refused before the size-1000 tables are built, which takes minutes
+    start = time.perf_counter()
+    code = main(argv)
+    assert code == 2 and time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and "outside 0..1023" in captured.err
+
+
+def test_generator_range_guard_boundary(capsys, monkeypatch):
+    from tautrel import tautring
+
+    monkeypatch.setattr(tautring, "MAX_INDEX", 5)
+    assert main(["relation", "--g", "8", "--d", "2"]) == 0  # degree 5
+    assert main(["relation", "--g", "9", "--d", "2"]) == 2  # degree 6
+    assert main(["faber", "--g", "7"]) == 0  # solves up to kappa_5
+    assert main(["faber", "--g", "8"]) == 2
 
 
 def test_faber_outputs(capsys):

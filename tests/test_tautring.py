@@ -6,10 +6,12 @@ from tautrel import (
     KappaPoly,
     build_c_table,
     build_q_table,
+    cross_pipeline_cells,
     extract_diagonal_relation,
     extract_psi_relation,
     extract_relation,
     extract_relation_from_ode,
+    faber_choose,
     kappa_exponential,
     relation_json,
     relation_window,
@@ -60,7 +62,7 @@ def test_kappa_poly_max_gen():
 # -------------------------------------------------------------- exponential
 
 def test_kappa_exponential_cells(c20):
-    e = kappa_exponential(c20, 2, 2)
+    e = kappa_exponential(c20, [(2, 2)])
     assert e.coeff(0, 0) == KappaPoly.scalar(F(1))
     assert e.coeff(1, 1) == poly_of({((1, 1),): F(-5, 6)})
     assert e.coeff(2, 2) == poly_of({((1, 2),): F(25, 72), ((2, 1),): F(-5)})
@@ -69,7 +71,52 @@ def test_kappa_exponential_cells(c20):
 def test_kappa_exponential_undersized_table():
     c = build_c_table(build_q_table(3))
     with pytest.raises(ValueError):
-        kappa_exponential(c, 5, 3)
+        kappa_exponential(c, [(5, 3)])
+
+
+def faber_windows(g):
+    """The (n, d) cells faber_solve reads at genus g."""
+    choices = [faber_choose(g, a) for a in range(g // 3 + 1, g - 1)]
+    return [(relation_window(g, ch.d, ch.b), ch.d) for ch in choices]
+
+
+def assert_staircase_matches_rectangle(c, windows):
+    stair = kappa_exponential(c, windows)
+    rect = kappa_exponential(c, [(max(n for n, _ in windows), max(d for _, d in windows))])
+    for n, d in windows:
+        assert stair.covers(n, d), (n, d)
+    covered = [(i, j) for i, j in rect.cells if stair.covers(i, j)]
+    assert covered and all(stair.coeff(i, j) == rect.coeff(i, j) for i, j in covered)
+    assert sorted(stair.cells) == sorted(covered)
+    return stair, rect
+
+
+def test_staircase_cells_equal_the_rectangle(c60):
+    for g in range(12, 25):
+        stair, rect = assert_staircase_matches_rectangle(c60, faber_windows(g))
+        assert len(stair.cells) < len(rect.cells), g
+    windows = [(n, d) for _, d, _, n in cross_pipeline_cells(14)]
+    stair, rect = assert_staircase_matches_rectangle(c60, windows)
+    assert len(stair.cells) < len(rect.cells)
+
+
+def test_staircase_size_is_pinned(c60):
+    # the rectangle over the same windows has 144 cells
+    assert len(kappa_exponential(c60, faber_windows(23)).cells) == 114
+
+
+def test_staircase_row_limits(c20):
+    e = kappa_exponential(c20, [(8, 2), (2, 4), (5, 3)])
+    assert e.limits == (4, 4, 4, 3, 3, 3, 2, 2, 2)
+    assert e.covers(2, 4) and e.covers(5, 3) and e.covers(8, 2)
+    assert not e.covers(3, 4) and not e.covers(9, 0) and not e.covers(0, -1)
+    for i, j in [(3, 4), (6, 3), (8, 3), (9, 0), (-1, 0)]:
+        with pytest.raises(ValueError, match="outside the row limits"):
+            e.coeff(i, j)
+    with pytest.raises(ValueError):
+        kappa_exponential(c20, [])
+    with pytest.raises(ValueError):
+        kappa_exponential(c20, [(3, -1)])
 
 
 # ---------------------------------------------------------- main extraction
@@ -99,7 +146,7 @@ def test_relation_matches_bruteforce_oracle(q20, c20):
 
 
 def test_relation_homogeneity_grid(q20, c20):
-    shared = kappa_exponential(c20, 12, 7)
+    shared = kappa_exponential(c20, [(12, 7)])
     for g in range(2, 13):
         for d in range(2, (g + 2) // 2 + 1):
             for b in range(0, 4):
@@ -134,9 +181,20 @@ def test_relation_range_errors(q20, c20):
 
 
 def test_relation_shared_exponential_too_small(q20, c20):
-    shared = kappa_exponential(c20, 2, 2)
+    shared = kappa_exponential(c20, [(2, 2)])
     with pytest.raises(ValueError):
         extract_relation(9, 2, 0, q20, c20, exp_series=shared)
+
+
+def test_relation_shared_staircase_not_covering(q20, c20):
+    # (11, 4, 0) reads (x^4, u^4): inside the bounding rectangle (8, 4),
+    # above the staircase, whose row 4 stops at u^3
+    shared = kappa_exponential(c20, [(8, 2), (2, 4), (5, 3)])
+    assert relation_window(11, 4) == 4
+    with pytest.raises(ValueError, match="does not cover"):
+        extract_relation(11, 4, 0, q20, c20, exp_series=shared)
+    covered = extract_relation(9, 2, 1, q20, c20, exp_series=shared)  # (x^7, u^2)
+    assert covered == extract_relation(9, 2, 1, q20, c20)
 
 
 def test_general_b0_is_proportional(q20, c20):
@@ -249,7 +307,7 @@ def test_leading_coefficient_laws_small(q20, c20):
 
 def test_no_low_monomials_for_large_b(q20, c20):
     # b >= 3 relations contain no monomial using only kappa_1..kappa_{b-2}
-    shared = kappa_exponential(c20, 12, 7)
+    shared = kappa_exponential(c20, [(12, 7)])
     found = 0
     for g in range(6, 13):
         for d in range(2, (g + 2) // 2 + 1):
