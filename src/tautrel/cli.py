@@ -219,13 +219,21 @@ def _cmd_relation(args) -> int:
         top = n if args.psi else args.g + 1 + args.b - 2 * args.d  # the relation's degree
         if top > tr.MAX_INDEX:  # no generator index of a relation exceeds its degree
             raise ValueError(f"generator index {top} outside 0..{tr.MAX_INDEX}")
+        # The largest exponent a kernel product meets: kappa_1^(n-1) in the
+        # exponential's recurrence, and with a second factor the cell itself
+        # (kappa_1^n, and psi^n for psi) as an operand of the last product.
+        operand = n - 1 if args.b == 0 and not args.psi else n
+        if operand > tr.MAX_OPERAND_EXPONENT:
+            raise ValueError(
+                f"exponent {operand} in a product operand outside 0..{tr.MAX_OPERAND_EXPONENT}"
+            )
         q = co.build_q_table(max(n, 1))
         c = co.build_c_table(q)
         if args.psi:
             out = tr.extract_psi_relation(args.g, args.d, q, c)
         else:
             out = tr.extract_relation(args.g, args.d, args.b, q, c)
-    except ValueError as exc:  # out of range, or a generator index past tr.MAX_INDEX
+    except ValueError as exc:  # out of range, or past the kernel's index or exponent range
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(tr.relation_json(out))
@@ -247,14 +255,9 @@ def _cmd_faber(args) -> int:
     except rel.FaberConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    obj = {
-        "g": args.g,
-        "rewrite": bool(args.rewrite),
-        "expressions": [
-            {"a": e.a, "rhs": tr.terms_json(e.rhs)} for e in exprs
-        ],
-    }
-    print(_json_line(obj))
+    rewrite = "true" if args.rewrite else "false"
+    body = ",".join(f'{{"a":{e.a},"rhs":{tr.terms_json(e.rhs)}}}' for e in exprs)
+    print(f'{{"g":{args.g},"rewrite":{rewrite},"expressions":[{body}]}}')
     return 0
 
 

@@ -22,6 +22,8 @@ from .tautring import (
     extract_relation,
     extract_relation_from_ode,
     kappa_exponential,
+    ode_exponential,
+    ode_genus_exponential,
     relation_window,
     weighted_monomials,
 )
@@ -341,20 +343,29 @@ def cross_pipeline_check(q: QTable, c: CTable, order: int) -> tuple[str, list[st
     """Compare the exponential and ODE extraction pipelines cell by cell.
 
     Every cell of ``cross_pipeline_cells(min(order, 14))`` (238 at the cap)
-    is extracted both ways, from one shared exponential and one alpha
-    table; the ODE relation must equal (-1)^d times the exponential one.
+    is extracted both ways.  Each route builds one exponential on the
+    staircase of every cell, the ODE one from one alpha table and then
+    times its genus factor once per genus; the ODE relation must equal
+    (-1)^d times the exponential one.
     Needs order >= 2, where the first cells appear.  Returns a summary and
     the first mismatch as a one-item list, or [] when every cell agrees.
     """
     if order < 2:
         raise ValueError("need order >= 2")
     cells = cross_pipeline_cells(min(order, 14))
-    shared = kappa_exponential(c, [(n, d) for _, d, _, n in cells])
-    alpha = solve_series_ode(max(n for *_, n in cells) + 1, max(d for _, d, _, _ in cells))
+    windows = [(n, d) for _, d, _, n in cells]
+    shared = kappa_exponential(c, windows)
+    alpha = solve_series_ode(max(n for n, _ in windows) + 1, max(d for _, d in windows))
+    ode_base = ode_exponential(alpha, windows)
+    by_genus: dict[int, list[tuple[int, int, int]]] = {}
+    for g, d, b, n in cells:
+        by_genus.setdefault(g, []).append((d, b, n))
     summary = "both extraction pipelines proportional"
-    for g, d, b, _ in cells:
-        r1 = extract_relation(g, d, b, q, c, exp_series=shared)
-        r2 = extract_relation_from_ode(g, d, b, alpha)
-        if r2.poly != r1.poly.scale((-1) ** d):
-            return summary, [f"(g={g}, d={d}, b={b}) pipelines disagree"]
+    for g, group in by_genus.items():
+        ode_series = ode_genus_exponential(ode_base, alpha, g, [(n, d) for d, _, n in group])
+        for d, b, _ in group:
+            r1 = extract_relation(g, d, b, q, c, exp_series=shared)
+            r2 = extract_relation_from_ode(g, d, b, alpha, ode_series=ode_series)
+            if r2.poly != r1.poly.scale((-1) ** d):
+                return summary, [f"(g={g}, d={d}, b={b}) pipelines disagree"]
     return summary, []

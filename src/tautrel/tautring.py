@@ -10,9 +10,10 @@ Inside a polynomial a monomial is a packed exponent vector (Monagan and
 Pearce, CASC 2007): one int holding an 8-bit exponent field per generator
 index, psi (index 0) in the lowest byte, so multiplying two monomials is
 one integer addition.  Generator indices run 0..MAX_INDEX and a stored
-exponent 0..255.  A product whose operands hold an exponent of 128 or
-more raises OverflowError, since the sum of two such fields could carry
-into the next generator's field; no monomial ever aliases another.
+exponent 0..255.  A product whose operands hold an exponent past
+MAX_OPERAND_EXPONENT (127) raises OverflowError, since the sum of two
+such fields could carry into the next generator's field; no monomial
+ever aliases another.
 
 A polynomial is a map from packed monomial to integer numerator over one
 positive denominator.  It is kept normalised (no zero numerators, and the
@@ -29,12 +30,11 @@ homogeneous in this grading.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import or_
+from operator import mul, or_
 from typing import NamedTuple
 
 from .coeffs import AlphaTable, CTable, QTable
@@ -42,6 +42,7 @@ from .series import UniSeries
 
 __all__ = [
     "MAX_INDEX",
+    "MAX_OPERAND_EXPONENT",
     "KappaPoly",
     "PolySeries",
     "TautRelation",
@@ -53,6 +54,8 @@ __all__ = [
     "extract_psi_relation",
     "extract_relation_from_ode",
     "extract_diagonal_relation",
+    "ode_exponential",
+    "ode_genus_exponential",
     "relation_json",
     "terms_json",
     "weighted_monomials",
@@ -67,9 +70,15 @@ Mono = tuple[tuple[int, int], ...]
 _FIELD_BITS = 8
 _EXP_MAX = (1 << _FIELD_BITS) - 1
 MAX_INDEX = 1023
-# Top bit of every field: set in a product operand means a carry is possible.
-_FIELD_TOPS = int.from_bytes(b"\x80" * (MAX_INDEX + 1), "little")
+# The largest exponent a product operand may hold: with the top bit of every
+# field clear, the sum of two fields cannot carry into the next one.
+MAX_OPERAND_EXPONENT = (1 << (_FIELD_BITS - 1)) - 1
+_FIELD_TOPS = int.from_bytes(bytes([MAX_OPERAND_EXPONENT + 1]) * (MAX_INDEX + 1), "little")
 _COMPLEMENT = bytes(range(_EXP_MAX, -1, -1))
+_INDICES = range(MAX_INDEX + 1)
+# JSON text of a monomial field: '"<index>":' then the exponent's digits.
+_INDEX_KEYS = tuple(f'"{i}":' for i in _INDICES)
+_EXP_DIGITS = tuple(map(str, range(_EXP_MAX + 1)))
 
 
 def _encode(mono: Mono) -> int:
@@ -97,7 +106,7 @@ def _decode(key: int) -> Mono:
 
 def _weight(key: int) -> int:
     f = _exponents(key)
-    return sum(idx * e for idx, e in enumerate(f)) + (f[0] if f else 0)
+    return sum(map(mul, f, _INDICES)) + (f[0] if f else 0)
 
 
 class _TermsView(Mapping):
@@ -285,20 +294,22 @@ class KappaPoly:
         )
 
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
-        """Terms in canonical order: graded by weighted degree, then
-        lexicographic with the larger exponent of the lowest differing
-        index first."""
+        """Terms in canonical order (see ``_canonical_keys``)."""
         num, den = self._num, self._den
-        width = (reduce(or_, num, 0).bit_length() + 7) // 8
-
-        def key(k: int) -> tuple[int, bytes]:
-            f = k.to_bytes(width, "little")
-            return _weight(k), f.translate(_COMPLEMENT)
-
-        return [(_decode(k), Fraction(num[k], den)) for k in sorted(num, key=key)]
+        return [(_decode(k), Fraction(num[k], den)) for k in _canonical_keys(num)]
 
     def __repr__(self) -> str:
         return f"KappaPoly({len(self._num)} terms)"
+
+
+def _canonical_keys(num: dict[int, int]) -> list[int]:
+    """Packed monomials in canonical order: graded by weighted degree, then
+    lexicographic with the larger exponent of the lowest differing index
+    first (the complemented exponent bytes, compared in index order)."""
+    width = (reduce(or_, num, 0).bit_length() + 7) // 8
+    order = [(_weight(k), k.to_bytes(width, "little").translate(_COMPLEMENT), k) for k in num]
+    order.sort()
+    return [k for _, _, k in order]
 
 
 def _poly(num: dict[int, int], den: int) -> KappaPoly:
@@ -367,11 +378,22 @@ def _power_product(
     return f
 
 
-def terms_json(poly: KappaPoly) -> list[dict]:
-    out = []
-    for m, v in poly.sorted_terms():
-        out.append({"monomial": {str(idx): e for idx, e in m}, "coeff": str(v)})
-    return out
+def terms_json(poly: KappaPoly) -> str:
+    """The terms as canonical JSON array text, in ``sorted_terms`` order.
+
+    Each term reads {"monomial":{"<index>":<exponent>,...},"coeff":"<n/d>"},
+    the coefficient in lowest terms ("<n>" when integral), with no spaces.
+    """
+    num, den = poly._num, poly._den
+    keys, digits = _INDEX_KEYS, _EXP_DIGITS
+    parts = []
+    for k in _canonical_keys(num):
+        n = num[k]
+        g = gcd(n, den)
+        coeff = str(n // g) if g == den else f"{n // g}/{den // g}"
+        mono = ",".join([keys[i] + digits[e] for i, e in enumerate(_exponents(k)) if e])
+        parts.append(f'{{"monomial":{{{mono}}},"coeff":"{coeff}"}}')
+    return f"[{','.join(parts)}]"
 
 
 def weighted_monomials(degree: int) -> list[Mono]:
@@ -399,20 +421,24 @@ class PolySeries:
 
     Row i of the first variable holds the cells j <= limits[i] of the
     second; the limits never increase with i (a staircase, of which the
-    rectangle is the constant case).
+    rectangle is the constant case).  ``genus`` is set on a series whose
+    cells depend on the genus (the ODE route's, once its a = 1 factor is
+    applied); None means the series serves every genus.
     """
 
-    __slots__ = ("vars", "limits", "cells")
+    __slots__ = ("vars", "limits", "cells", "genus")
 
     def __init__(
         self,
         vars: tuple[str, str],
         limits: list[int],
         cells: dict[tuple[int, int], KappaPoly],
+        genus: int | None = None,
     ):
         self.vars = vars
         self.limits = tuple(limits)
         self.cells = {k: p for k, p in cells.items() if not p.is_zero()}
+        self.genus = genus
 
     def coeff(self, i: int, j: int) -> KappaPoly:
         if not self.covers(i, j):
@@ -611,7 +637,74 @@ def extract_psi_relation(
     return PsiRelation(g=g, d=d, degree=relation_window(g, d, psi=True), poly=poly)
 
 
-def extract_relation_from_ode(g: int, d: int, b: int, alpha: AlphaTable) -> TautRelation:
+def _ode_limits(windows: list[tuple[int, int]]) -> list[int]:
+    """Row limits through the (n, d) windows: J(i) = max{d : n >= i}."""
+    if not windows:
+        raise ValueError("need at least one (n, d) window")
+    if any(n < 0 or d < 0 for n, d in windows):
+        raise ValueError(f"negative window in {windows!r}")
+    return [
+        max(d for n, d in windows if n >= i)
+        for i in range(max(n for n, _ in windows) + 1)
+    ]
+
+
+def ode_exponential(alpha: AlphaTable, windows: list[tuple[int, int]]) -> PolySeries:
+    """exp(sum_{a>=2} t^(a-1) kappa_{a-1} sum_j alpha[a][j] w^j) on a staircase.
+
+    This is the ODE route's exponential without its a = 1 slice, the
+    scalar (2g-2) sum_j alpha[1][j] w^j, so it serves every genus;
+    ``ode_genus_exponential`` applies that slice.  ``windows`` lists the
+    cells (t^n, w^d) the caller will read; row i is built through w^J(i),
+    with J(i) = max{d : (n, d) in windows, n >= i}.
+    """
+    limits = _ode_limits(windows)
+    n_x, n_w = alpha.orders
+    if n_x < len(limits) or n_w < limits[0]:
+        raise ValueError(f"alpha table sized {alpha.orders}, need ({len(limits)}, {limits[0]})")
+    slices: dict[int, dict[int, KappaPoly]] = {}
+    for m in range(1, len(limits)):
+        row = {}
+        for j in range(0, limits[m] + 1):
+            av = alpha.get(m + 1, j)
+            if av:
+                row[j] = KappaPoly.gen(m, coeff=av)
+        if row:
+            slices[m] = row
+    return PolySeries(("t", "w"), limits, _exp_from_slices(slices, limits))
+
+
+def ode_genus_exponential(
+    base: PolySeries, alpha: AlphaTable, g: int, windows: list[tuple[int, int]]
+) -> PolySeries:
+    """``base`` times exp((2g-2) sum_j alpha[1][j] w^j), on the staircase of
+    ``windows``: the whole ODE-route exponential of genus g.
+
+    The factor is a scalar series in w, so each cell is a short sum of
+    scaled base cells.  A base that does not cover the windows, or that
+    already carries a genus factor, raises ValueError.
+    """
+    if base.genus is not None:
+        raise ValueError(f"series already carries the genus-{base.genus} factor")
+    limits = _ode_limits(windows)
+    if not all(base.covers(i, top) for i, top in enumerate(limits)):
+        raise ValueError(f"base series does not cover the windows {windows!r}")
+    f0 = UniSeries("w", limits[0], [(2 * g - 2) * alpha.get(1, j) for j in range(limits[0] + 1)])
+    ef0 = [KappaPoly.scalar(v) for v in f0.exp().coeffs]
+    buckets: dict[tuple[int, int], list[tuple[KappaPoly, KappaPoly, int]]] = {}
+    for (i, j2), p in base.cells.items():
+        if i >= len(limits):
+            continue
+        for j1 in range(0, limits[i] - j2 + 1):
+            if not ef0[j1].is_zero():
+                buckets.setdefault((i, j1 + j2), []).append((p, ef0[j1], 1))
+    cells = {key: _sum_of_products(pairs) for key, pairs in buckets.items()}
+    return PolySeries(("t", "w"), limits, cells, genus=g)
+
+
+def extract_relation_from_ode(
+    g: int, d: int, b: int, alpha: AlphaTable, ode_series: PolySeries | None = None
+) -> TautRelation:
     """Extract the (g, d, b) relation through the ODE coefficient table.
 
     This is an independent pipeline in the (t, w) variables: the
@@ -621,35 +714,23 @@ def extract_relation_from_ode(g: int, d: int, b: int, alpha: AlphaTable) -> Taut
     kappa_{b-1} + 2 sum t^a kappa_{a+b-1} j alpha[a][j] w^j.  Results
     agree with extract_relation up to the sign (-1)^d coming from the
     change of variables between the two coordinate systems.
+
+    ``ode_series`` may carry a precomputed ``ode_genus_exponential`` of
+    genus g whose windows include (relation_window(g, d, b), d), so the
+    cells of one genus can share one; a series of another genus, or one
+    that does not cover that cell, raises ValueError.
     """
     t_exp = relation_window(g, d, b)
-    n_x, n_w = alpha.orders
-    if n_x < t_exp + 1 or n_w < d:
-        raise ValueError(f"alpha table sized {alpha.orders}, need ({t_exp + 1}, {d})")
-
-    kappa0 = Fraction(2 * g - 2)
-    f0 = UniSeries("w", d, [kappa0 * alpha.get(1, j) for j in range(d + 1)])
-    slices: dict[int, dict[int, KappaPoly]] = {}
-    for a in range(2, t_exp + 2):
-        row = {}
-        for j in range(0, d + 1):
-            av = alpha.get(a, j)
-            if av:
-                row[j] = KappaPoly.gen(a - 1, coeff=av)
-        if row:
-            slices[a - 1] = row
-    e_rest = _exp_from_slices(slices, [d] * (t_exp + 1))
-    ef0 = [KappaPoly.scalar(v) for v in f0.exp().coeffs]
-    buckets: dict[tuple[int, int], list[tuple[KappaPoly, KappaPoly, int]]] = {}
-    for (i, j2), p in e_rest.items():
-        for j1 in range(0, d - j2 + 1):
-            if not ef0[j1].is_zero():
-                buckets.setdefault((i, j1 + j2), []).append((p, ef0[j1], 1))
-    cells = {key: _sum_of_products(pairs) for key, pairs in buckets.items()}
-    e_full = PolySeries(("t", "w"), [d] * (t_exp + 1), cells)
+    if ode_series is None:
+        windows = [(t_exp, d)]
+        ode_series = ode_genus_exponential(ode_exponential(alpha, windows), alpha, g, windows)
+    elif ode_series.genus != g:
+        raise ValueError(f"shared ODE series is for genus {ode_series.genus}, not {g}")
+    elif not ode_series.covers(t_exp, d):
+        raise ValueError(f"shared ODE series does not cover the cell ({t_exp}, {d})")
 
     if b == 0:
-        poly = e_full.coeff(t_exp, d)
+        poly = ode_series.coeff(t_exp, d)
     else:
         f2: dict[tuple[int, int], KappaPoly] = {}
         lead = _kappa_symbol(b - 1, g)
@@ -663,7 +744,7 @@ def extract_relation_from_ode(g: int, d: int, b: int, alpha: AlphaTable) -> Taut
                 term = _kappa_symbol(a2 + b - 1, g, coeff=2 * j * av)
                 if not term.is_zero():
                     f2[(a2, j)] = term
-        poly = _convolve_cell(e_full, f2, t_exp, d)
+        poly = _convolve_cell(ode_series, f2, t_exp, d)
     return TautRelation(g=g, d=d, b=b, degree=g + 1 + b - 2 * d, poly=poly)
 
 
@@ -719,11 +800,8 @@ def extract_diagonal_relation(g: int, b: int, a: int, c: CTable) -> DiagonalRela
 
 def relation_json(rel: TautRelation | PsiRelation) -> str:
     """Canonical one-line JSON for a relation; byte-stable across runs."""
-    obj = {"g": rel.g, "d": rel.d}
-    if isinstance(rel, PsiRelation):
-        obj["psi"] = True
-    else:
-        obj["b"] = rel.b
-    obj["degree"] = rel.degree
-    obj["terms"] = terms_json(rel.poly)
-    return json.dumps(obj, separators=(",", ":"))
+    kind = '"psi":true' if isinstance(rel, PsiRelation) else f'"b":{rel.b}'
+    return (
+        f'{{"g":{rel.g},"d":{rel.d},{kind},"degree":{rel.degree},'
+        f'"terms":{terms_json(rel.poly)}}}'
+    )

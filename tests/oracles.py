@@ -8,7 +8,9 @@ Nothing here is shared with the production pipeline: no series type,
 no slice recurrence, just recursion over pair multiplicities.
 """
 
+import json
 from fractions import Fraction
+from functools import cmp_to_key
 from math import comb, factorial
 
 
@@ -156,6 +158,19 @@ def ref_substitute(p, mapping):
                 piece = ref_mul(piece, ref_pow(mapping[idx], e))
         out = ref_add(out, piece)
     return out
+
+
+def ref_terms_json(p):
+    """Canonical JSON array text of a reference polynomial, through json.dumps:
+    its terms in mono_cmp order, each {"monomial": {index: exponent}, "coeff"}.
+    """
+    return json.dumps(
+        [
+            {"monomial": {str(idx): e for idx, e in m}, "coeff": str(p[m])}
+            for m in sorted(p, key=cmp_to_key(mono_cmp))
+        ],
+        separators=(",", ":"),
+    )
 
 
 def mono_weight(m):

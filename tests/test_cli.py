@@ -209,6 +209,43 @@ def test_generator_range_guard_boundary(capsys, monkeypatch):
     assert main(["faber", "--g", "8"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["relation", "--g", "140", "--d", "2", "--psi"],
+        ["relation", "--g", "130", "--d", "2", "--psi"],  # n = 128
+        ["relation", "--g", "130", "--d", "2", "--b", "1"],  # n = 128
+        ["relation", "--g", "132", "--d", "2"],  # b = 0: n = 129
+    ],
+)
+def test_requests_past_the_operand_exponent_exit_2_at_once(argv):
+    # The kernel could only end such a run in OverflowError, after an
+    # exponential too large to build.  A fresh process, so a request that
+    # is not refused fails at the timeout instead of running on.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tautrel.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "outside 0..127" in proc.stderr
+
+
+def test_operand_exponent_guard_boundary(capsys, monkeypatch):
+    from tautrel import tautring
+
+    monkeypatch.setattr(tautring, "MAX_OPERAND_EXPONENT", 5)
+    assert main(["relation", "--g", "9", "--d", "2"]) == 0  # b = 0, n = 6
+    assert main(["relation", "--g", "10", "--d", "2"]) == 2  # n = 7
+    assert main(["relation", "--g", "7", "--d", "2", "--b", "1"]) == 0  # n = 5
+    assert main(["relation", "--g", "8", "--d", "2", "--b", "1"]) == 2  # n = 6
+    assert main(["relation", "--g", "7", "--d", "2", "--psi"]) == 0  # n = 5
+    assert main(["relation", "--g", "8", "--d", "2", "--psi"]) == 2  # n = 6
+
+
 def test_faber_outputs(capsys):
     code, out = run(capsys, "faber", "--g", "5")
     assert code == 0

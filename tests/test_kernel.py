@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tautrel import KappaPoly
-from tautrel.tautring import MAX_INDEX
+from tautrel.tautring import MAX_INDEX, terms_json
 
 from oracles import (
     mono_cmp,
@@ -21,6 +21,7 @@ from oracles import (
     ref_mul,
     ref_scale,
     ref_substitute,
+    ref_terms_json,
 )
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -97,6 +98,42 @@ def test_sorted_terms_order_matches_comparator(p):
     got = [m for m, _ in KappaPoly(p).sorted_terms()]
     assert got == sorted(p, key=cmp_to_key(mono_cmp))
     assert dict(KappaPoly(p).sorted_terms()) == p
+
+
+# psi (index 0), indices past one byte and up to MAX_INDEX, exponents to 255;
+# integer, negative and many-digit coefficients
+json_monos = st.dictionaries(
+    st.one_of(st.integers(min_value=0, max_value=6), st.integers(min_value=250, max_value=MAX_INDEX)),
+    st.integers(min_value=1, max_value=255),
+    max_size=4,
+).map(lambda d: tuple(sorted(d.items())))
+json_coeffs = st.one_of(
+    fractions,
+    st.integers(min_value=-(10**40), max_value=10**40).map(F),
+    st.builds(F, st.integers(min_value=-(10**40), max_value=10**40), st.integers(min_value=1, max_value=10**30)),
+)
+json_polys = st.dictionaries(json_monos, json_coeffs, max_size=8).map(ref_clean)
+
+
+@SETTINGS
+@given(json_polys)
+def test_terms_json_matches_reference(p):
+    assert terms_json(KappaPoly(p)) == ref_terms_json(p)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        {},  # "[]"
+        {(): F(-3)},
+        {((0, 4),): F(7), ((0, 2), (1, 1)): F(-5, 6)},
+        {((256, 1),): F(1, 2), ((1, 1), (1023, 255)): F(-9)},
+        {((255, 3), (256, 2), (257, 1)): F(10**30, 7), ((2, 1),): F(-2, 3)},
+    ],
+)
+def test_terms_json_edges_match_reference(p):
+    # the zero polynomial, a constant, psi, and fields past the first byte
+    assert terms_json(KappaPoly(p)) == ref_terms_json(p)
 
 
 # ---------------------------------------------------------------- ring laws

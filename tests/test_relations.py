@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from tautrel import (
+    AlphaTable,
     CTable,
     FaberConsistencyError,
     KappaPoly,
@@ -228,6 +229,30 @@ def test_cross_pipeline_check_catches_one_wrong_c_entry(q20, c20):
     wrong = CTable(c20.k_max, tuple(tuple(r) for r in rows))
     _, failures = cross_pipeline_check(q20, wrong, 8)
     assert failures == ["(g=5, d=2, b=1) pipelines disagree"]
+
+
+@pytest.mark.parametrize(
+    "k, j, cell",
+    [
+        (3, 2, "(g=4, d=2, b=1)"),  # the genus-free exponential and the second factor
+        (1, 1, "(g=2, d=2, b=1)"),  # the genus factor exp((2g-2) sum_j alpha[1][j] w^j)
+    ],
+)
+def test_cross_pipeline_check_catches_one_wrong_alpha_entry(q20, c20, monkeypatch, k, j, cell):
+    # alpha[k][j] off by one reaches the ODE route only
+    from tautrel import relations
+
+    solve = relations.solve_series_ode
+
+    def wrong_solve(n_x, n_w):
+        alpha = solve(n_x, n_w)
+        rows = [list(r) for r in alpha.entries]
+        rows[k][j] += 1
+        return AlphaTable(alpha.orders, tuple(tuple(r) for r in rows))
+
+    monkeypatch.setattr(relations, "solve_series_ode", wrong_solve)
+    _, failures = cross_pipeline_check(q20, c20, 8)
+    assert failures == [f"{cell} pipelines disagree"]
 
 
 def test_cross_pipeline_check_rejects_order_below_2(q20, c20):

@@ -3,7 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from tautrel import (
+    CTable,
     KappaPoly,
+    QTable,
     build_c_table,
     build_q_table,
     cross_pipeline_cells,
@@ -17,6 +19,7 @@ from tautrel import (
     relation_window,
     solve_series_ode,
 )
+from tautrel.tautring import MAX_OPERAND_EXPONENT, ode_exponential, ode_genus_exponential
 
 from oracles import oracle_extract
 
@@ -251,6 +254,49 @@ def test_ode_pipeline_undersized_alpha():
         extract_relation_from_ode(9, 2, 0, alpha)
 
 
+def test_shared_ode_series_equals_per_cell_extraction():
+    # one base exponential for the whole grid, its genus factor once per genus
+    cells = cross_pipeline_cells(14)
+    alpha = solve_series_ode(max(n for *_, n in cells) + 1, max(d for _, d, _, _ in cells))
+    base = ode_exponential(alpha, [(n, d) for _, d, _, n in cells])
+    for g in sorted({g for g, *_ in cells}):
+        mine = [(d, b, n) for g2, d, b, n in cells if g2 == g]
+        series = ode_genus_exponential(base, alpha, g, [(n, d) for d, _, n in mine])
+        assert series.genus == g
+        for d, b, _ in mine:
+            shared = extract_relation_from_ode(g, d, b, alpha, ode_series=series)
+            assert shared == extract_relation_from_ode(g, d, b, alpha), (g, d, b)
+
+
+def test_shared_ode_series_refusals():
+    alpha = solve_series_ode(9, 5)
+    windows = [(6, 2), (2, 4)]
+    base = ode_exponential(alpha, windows)
+    assert base.limits == (4, 4, 4, 2, 2, 2, 2) and base.genus is None
+    series = ode_genus_exponential(base, alpha, 8, windows)
+    # (8, 2, 1) reads (t^6, w^2), on the staircase
+    assert relation_window(8, 2, 1) == 6
+    assert extract_relation_from_ode(8, 2, 1, alpha, ode_series=series) == (
+        extract_relation_from_ode(8, 2, 1, alpha)
+    )
+    # (8, 3, 1) reads (t^4, w^3): inside the bounding rectangle, above row 4's w^2
+    assert relation_window(8, 3, 1) == 4
+    with pytest.raises(ValueError, match="does not cover"):
+        extract_relation_from_ode(8, 3, 1, alpha, ode_series=series)
+    # (7, 2, 2) reads (t^5, w^2), covered, but the series holds genus 8's factor
+    with pytest.raises(ValueError, match="genus"):
+        extract_relation_from_ode(7, 2, 2, alpha, ode_series=series)
+    with pytest.raises(ValueError, match="genus"):
+        extract_relation_from_ode(8, 2, 1, alpha, ode_series=base)
+    # the factor goes on once, and only on cells the base holds
+    with pytest.raises(ValueError, match="already carries"):
+        ode_genus_exponential(series, alpha, 8, windows)
+    with pytest.raises(ValueError, match="does not cover"):
+        ode_genus_exponential(base, alpha, 8, [(7, 2)])
+    with pytest.raises(ValueError):
+        ode_exponential(alpha, [])
+
+
 # ------------------------------------------------------- diagonal relations
 
 def test_diagonal_relation_values(c20):
@@ -323,6 +369,47 @@ def test_no_low_monomials_for_large_b(q20, c20):
                 for mono, _ in r.poly.terms.items():
                     assert any(idx > b - 2 for idx, _e in mono), (g, d, b, mono)
     assert found > 5
+
+
+# ------------------------------------------------ kernel operand exponents
+
+def _kappa_1_only_tables(n):
+    """q zero and c zero past its real a = 1 row (c[1][0] = 1/12, c[1][1] = 5/6).
+
+    Each exponential cell (i, j) is then one multiple of kappa_1^i, so the
+    extraction of a window n near 128 runs at once.
+    """
+    q = QTable(n, tuple((0,) * (k + 1) for k in range(n + 1)))
+    rows = ((F(1, 12), F(5, 6)),) + tuple((F(0),) * (k + 1) for k in range(2, n + 1))
+    return q, CTable(n, rows)
+
+
+@pytest.mark.parametrize(
+    "b, psi, last",
+    [
+        (0, False, MAX_OPERAND_EXPONENT + 1),  # operands reach kappa_1^(n-1)
+        (1, False, MAX_OPERAND_EXPONENT),  # the cell kappa_1^n times the second factor
+        (3, False, MAX_OPERAND_EXPONENT),
+        (0, True, MAX_OPERAND_EXPONENT),
+    ],
+)
+def test_largest_window_the_kernel_multiplies(b, psi, last):
+    # `relation` refuses a window n past `last` up front (exit 2); here the
+    # kernel itself shows that `last` runs and `last + 1` overflows
+    q, c = _kappa_1_only_tables(last + 1)
+    d = 2
+    for n in (last, last + 1):
+        g = n + 2 * d - (1 if b == 0 and not psi else 2)
+        assert relation_window(g, d, b, psi) == n
+
+        def run():
+            return extract_psi_relation(g, d, q, c) if psi else extract_relation(g, d, b, q, c)
+
+        if n == last:
+            assert not run().poly.is_zero()
+        else:
+            with pytest.raises(OverflowError):
+                run()
 
 
 # -------------------------------------------------------------- serialization
