@@ -38,6 +38,8 @@ _EXPORTS = {
         (
             "DiagonalRelation",
             "KappaPoly",
+            "MAX_INDEX",
+            "MAX_OPERAND_EXPONENT",
             "PolySeries",
             "PsiRelation",
             "TautRelation",
@@ -46,8 +48,11 @@ _EXPORTS = {
             "extract_relation",
             "extract_relation_from_ode",
             "kappa_exponential",
+            "ode_exponential",
+            "ode_genus_exponential",
             "relation_json",
             "relation_window",
+            "terms_json",
             "weighted_monomials",
         ),
         "tautring",

@@ -248,6 +248,15 @@ def _cmd_faber(args) -> int:
     if args.g - 2 > tr.MAX_INDEX:  # faber solves for kappa_{g-2} last
         print(f"error: generator index {args.g - 2} outside 0..{tr.MAX_INDEX}", file=sys.stderr)
         return 2
+    # Each solved kappa_a holds a kappa_1^a term, and substitute passes every
+    # term of its operand through the kernel, so the last, a = g-2, must fit.
+    if args.g - 2 > tr.MAX_OPERAND_EXPONENT:
+        print(
+            f"error: exponent {args.g - 2} in a product operand"
+            f" outside 0..{tr.MAX_OPERAND_EXPONENT}",
+            file=sys.stderr,
+        )
+        return 2
     q = co.build_q_table(max(args.g, 1))
     c = co.build_c_table(q)
     try:
@@ -302,7 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--b", type=int, default=0)
     p.add_argument("--psi", action="store_true")
-    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(func=_cmd_relation)
 
     p = sub.add_parser("faber", help="solve for the high kappa classes")

@@ -214,6 +214,38 @@ def _sqrt_shifted_coeffs(n: int) -> list[Fraction]:
     return [sq[j + 1] / 2 for j in range(n + 1)]
 
 
+def _add_half_power_sum(
+    terms: dict[tuple[int, int], Fraction],
+    t: QTable | CTable,
+    s: int,
+    sign: int,
+    n_x: int,
+    n_w: int,
+) -> None:
+    """Add sign * sum_{1<=k<n_x} sum_{j<=k} x^(k+1) t[k][j] (-w)^j (1+4w)^(-j-k/2-s)
+    to ``terms``, through w^n_w.
+
+    The exponent repeats across (k, j), so each distinct one is expanded
+    once, with exact generalized-binomial series, and sliced.  A table
+    sized below n_x - 1 raises ValueError from its ``get``.
+    """
+    expansions: dict[Fraction, list[Fraction]] = {}
+    for k in range(1, n_x):
+        for j in range(0, min(k, n_w) + 1):
+            tv = t.get(k, j)
+            if not tv:
+                continue
+            e = -(j + Fraction(k, 2) + s)
+            cs = expansions.get(e)
+            if cs is None:
+                cs = expansions[e] = binomial_series_coeffs(Fraction(4), e, n_w)
+            signed = -sign * tv if j % 2 else sign * tv
+            for m, bv in enumerate(cs[: n_w - j + 1]):
+                if bv:
+                    key = (k + 1, j + m)
+                    terms[key] = terms.get(key, _ZERO) + signed * bv
+
+
 def expand_w_deriv_closed(q: QTable, n_x: int, n_w: int) -> BiSeries:
     """Closed form of the w-derivative of the ODE solution.
 
@@ -221,13 +253,9 @@ def expand_w_deriv_closed(q: QTable, n_x: int, n_w: int) -> BiSeries:
         + sum_{k>=1} sum_{j<=k} x^(k+1) q[k][j] (-w)^j (1+4w)^(-j-k/2-1)
 
     expanded with exact generalized-binomial series for the half-integer
-    powers of 1+4w.  The exponent repeats across (k, j), so each distinct
-    one is expanded once, through w^n_w, and sliced.
+    powers of 1+4w.
     """
-    if q.k_max < n_x - 1:
-        raise ValueError(f"q table sized {q.k_max}, need {n_x - 1}")
     terms: dict[tuple[int, int], Fraction] = {}
-    expansions: dict[Fraction, list[Fraction]] = {}
     for j, v in enumerate(_sqrt_shifted_coeffs(n_w)):
         if v:
             terms[(0, j)] = v
@@ -235,20 +263,7 @@ def expand_w_deriv_closed(q: QTable, n_x: int, n_w: int) -> BiSeries:
         for m, v in enumerate(binomial_series_coeffs(Fraction(4), Fraction(-1), n_w)):
             if v:
                 terms[(1, m)] = v
-    for k in range(1, n_x):
-        for j in range(0, min(k, n_w) + 1):
-            qv = q.get(k, j)
-            if not qv:
-                continue
-            e = -(j + Fraction(k, 2) + 1)
-            cs = expansions.get(e)
-            if cs is None:
-                cs = expansions[e] = binomial_series_coeffs(Fraction(4), e, n_w)
-            signed = -qv if j % 2 else qv
-            for m, cv in enumerate(cs[: n_w - j + 1]):
-                if cv:
-                    key = (k + 1, j + m)
-                    terms[key] = terms.get(key, _ZERO) + signed * cv
+    _add_half_power_sum(terms, q, 1, 1, n_x, n_w)
     return BiSeries(("x", "w"), (n_x, n_w), terms)
 
 
@@ -259,13 +274,9 @@ def expand_closed_form(c: CTable, n_x: int, n_w: int) -> BiSeries:
         - sum_{k>=1} sum_{j<=k} x^(k+1) c[k][j] (-w)^j (1+4w)^(-j-k/2)
 
     where F(0,w) is the w-antiderivative (zero constant term) of
-    (-1+sqrt(1+4w))/(2w).  As in expand_w_deriv_closed, each distinct
-    exponent of 1+4w is expanded once and sliced.
+    (-1+sqrt(1+4w))/(2w).
     """
-    if c.k_max < n_x - 1:
-        raise ValueError(f"c table sized {c.k_max}, need {n_x - 1}")
     terms: dict[tuple[int, int], Fraction] = {}
-    expansions: dict[Fraction, list[Fraction]] = {}
     a0 = _sqrt_shifted_coeffs(max(n_w - 1, 0))
     for j in range(min(len(a0), n_w)):
         if a0[j]:
@@ -273,20 +284,7 @@ def expand_closed_form(c: CTable, n_x: int, n_w: int) -> BiSeries:
     if n_x >= 1:
         for m in range(1, n_w + 1):
             terms[(1, m)] = Fraction((-1) ** (m - 1) * 4 ** (m - 1), m)
-    for k in range(1, n_x):
-        for j in range(0, min(k, n_w) + 1):
-            cv = c.get(k, j)
-            if not cv:
-                continue
-            e = -(j + Fraction(k, 2))
-            cs = expansions.get(e)
-            if cs is None:
-                cs = expansions[e] = binomial_series_coeffs(Fraction(4), e, n_w)
-            signed = -cv if j % 2 else cv
-            for m, bv in enumerate(cs[: n_w - j + 1]):
-                if bv:
-                    key = (k + 1, j + m)
-                    terms[key] = terms.get(key, _ZERO) - signed * bv
+    _add_half_power_sum(terms, c, 0, -1, n_x, n_w)
     return BiSeries(("x", "w"), (n_x, n_w), terms)
 
 

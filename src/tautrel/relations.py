@@ -38,7 +38,6 @@ __all__ = [
     "scan_nonvanishing",
     "IndependenceReport",
     "independence_report",
-    "weighted_monomials",
     "rank_exact",
     "cross_pipeline_cells",
     "cross_pipeline_check",
@@ -143,6 +142,10 @@ def faber_solve(
     return out
 
 
+# The scan recomputes the b = 1 coefficient by full extraction for a <= this.
+_SAMPLE_MAX = 8
+
+
 class ScanReport:
     """Nonvanishing scan outcome over 1 <= d <= a <= a_max."""
 
@@ -171,14 +174,12 @@ class ScanReport:
         }
 
 
-def scan_nonvanishing(
-    a_max: int, q: QTable, c: CTable, sample_max: int = 8
-) -> ScanReport:
+def scan_nonvanishing(a_max: int, q: QTable, c: CTable) -> ScanReport:
     """Check the two fallback leading coefficients never vanish.
 
     For every 1 <= d <= a <= a_max: c[a][d] != 0 (the b = 0 pairing,
     genus a+2d-1) and (2g-2)*c[a][d] + 2*q[a-1][d-1] != 0 with
-    g = a+2d-2 (the b = 1 pairing).  On the sub-grid a <= sample_max the
+    g = a+2d-2 (the b = 1 pairing).  On the sub-grid a <= _SAMPLE_MAX the
     b = 1 coefficient is recomputed from a full extraction.  Cells where
     the alternative published formula (2a-4d-6)*c[a][d] + 2*q[a-1][d-1]
     disagrees with the extraction-based value are reported separately.
@@ -189,7 +190,7 @@ def scan_nonvanishing(
         raise ValueError("tables too small for the requested scan")
     rep = ScanReport(a_max)
     # the sample reads the b = 1 relation of (a, d) at the cell (x^a, u^d)
-    lim = min(sample_max, a_max)
+    lim = min(_SAMPLE_MAX, a_max)
     windows = [(a, d) for a in range(2, lim + 1) for d in range(2, a + 1)]
     shared = kappa_exponential(c, windows) if windows else None
     for a in range(1, a_max + 1):
@@ -219,7 +220,7 @@ def scan_nonvanishing(
                         "remark_formula": str(remark),
                     }
                 )
-            if shared is not None and a <= sample_max and d >= 2 and g1 >= 2:
+            if shared is not None and a <= _SAMPLE_MAX and d >= 2 and g1 >= 2:
                 rel = extract_relation(g1, d, 1, q, c, exp_series=shared)
                 rep.checked += 1
                 if rel.poly.gen_coeff(a) != -coef_b1:

@@ -116,9 +116,6 @@ class UniSeries:
             self.var, self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
         )
 
-    def __neg__(self) -> "UniSeries":
-        return UniSeries(self.var, self.order, [-a for a in self.coeffs])
-
     def scale(self, r: Fraction) -> "UniSeries":
         r = Fraction(r)
         return UniSeries(self.var, self.order, [r * a for a in self.coeffs])
@@ -144,15 +141,6 @@ class UniSeries:
             s = sum(m * a[m] * e[k - m] for m in range(1, k + 1))
             e[k] = Fraction(s, k)
         return UniSeries(self.var, n, e)
-
-    def derivative(self) -> "UniSeries":
-        if self.order == 0:
-            return UniSeries.zero(self.var, 0)
-        return UniSeries(
-            self.var,
-            self.order - 1,
-            [k * self.coeffs[k] for k in range(1, self.order + 1)],
-        )
 
     def truncate(self, order: int) -> "UniSeries":
         if order > self.order:

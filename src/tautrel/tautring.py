@@ -30,7 +30,7 @@ homogeneous in this grading.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -423,19 +423,18 @@ class PolySeries:
     second; the limits never increase with i (a staircase, of which the
     rectangle is the constant case).  ``genus`` is set on a series whose
     cells depend on the genus (the ODE route's, once its a = 1 factor is
-    applied); None means the series serves every genus.
+    applied); None means the series serves every genus.  Zero cells are
+    not stored.
     """
 
-    __slots__ = ("vars", "limits", "cells", "genus")
+    __slots__ = ("limits", "cells", "genus")
 
     def __init__(
         self,
-        vars: tuple[str, str],
         limits: list[int],
         cells: dict[tuple[int, int], KappaPoly],
         genus: int | None = None,
     ):
-        self.vars = vars
         self.limits = tuple(limits)
         self.cells = {k: p for k, p in cells.items() if not p.is_zero()}
         self.genus = genus
@@ -450,21 +449,31 @@ class PolySeries:
 
 
 def _exp_from_slices(
-    slices: dict[int, dict[int, KappaPoly]], limits: list[int]
+    coeff: Callable[[int, int], Fraction], limits: list[int]
 ) -> dict[tuple[int, int], KappaPoly]:
-    """exp of sum_{m>=1} slice_m * v1^m, cellwise on the cells j <= limits[i].
+    """exp of sum_{m>=1} s_m v1^m, cellwise on the cells j <= limits[i], where
+    the slice s_m is sum_j coeff(m, j) kappa_m v2^j.
 
-    Uses the derivative recurrence in the first variable:
+    Every slice is read from ``coeff`` before the first product.  Uses the
+    derivative recurrence in the first variable:
     i * e_i = sum_m m * s_m * e_{i-m}, one kernel call per cell.  The
     limits must not increase with i, so that every cell the recurrence
-    reads, (i-m, j' <= j), lies inside them.
+    reads, (i-m, j' <= j), lies inside them, and slice m is read through
+    v2^limits[m] only.  Every cell is returned, zero ones included.
     """
+    slices: dict[int, dict[int, KappaPoly]] = {}
+    for m in range(1, len(limits)):
+        slices[m] = row = {}
+        for j in range(limits[m] + 1):
+            v = coeff(m, j)
+            if v:
+                row[j] = KappaPoly.gen(m, coeff=v)
     e: list[dict[int, KappaPoly]] = [{0: _UNIT_POLY}]
     for i in range(1, len(limits)):
         top = limits[i]
         buckets: dict[int, list[tuple[KappaPoly, KappaPoly, int]]] = {}
         for m in range(1, i + 1):
-            sm = slices.get(m)
+            sm = slices[m]
             if not sm:
                 continue
             em = e[i - m]
@@ -474,12 +483,25 @@ def _exp_from_slices(
                     if j <= top:
                         buckets.setdefault(j, []).append((p, qp, m))
         e.append({j: _sum_of_products(pairs, div=i) for j, pairs in buckets.items()})
-    out: dict[tuple[int, int], KappaPoly] = {}
-    for i, row in enumerate(e):
-        for j, p in row.items():
-            if not p.is_zero():
-                out[(i, j)] = p
-    return out
+    return {(i, j): p for i, row in enumerate(e) for j, p in row.items()}
+
+
+def _staircase(windows: list[tuple[int, int]]) -> list[int]:
+    """Row limits through the (n, d) windows: J(i) = max{d : (n, d) in windows, n >= i}.
+
+    Row i takes the largest d of a window in row i or any row below it,
+    so the limits never increase with i.
+    """
+    if not windows:
+        raise ValueError("need at least one (n, d) window")
+    if any(n < 0 or d < 0 for n, d in windows):
+        raise ValueError(f"negative window in {windows!r}")
+    limits = [0] * (max(n for n, _ in windows) + 1)
+    for n, d in windows:
+        limits[n] = max(limits[n], d)
+    for i in range(len(limits) - 2, -1, -1):
+        limits[i] = max(limits[i], limits[i + 1])
+    return limits
 
 
 def kappa_exponential(c: CTable, windows: list[tuple[int, int]]) -> PolySeries:
@@ -488,30 +510,11 @@ def kappa_exponential(c: CTable, windows: list[tuple[int, int]]) -> PolySeries:
     ``windows`` lists the cells (x^n, u^d) the caller will read, directly
     or through a second factor (whose reads (n-i, d-j) stay below (n, d)).
     Row i is built through u^J(i), with J(i) = max{d : (n, d) in windows,
-    n >= i}; one window (n, d) gives the full rectangle.
+    n >= i}; one window (n, d) gives the full rectangle.  A c table too
+    small for the windows raises ValueError before any product.
     """
-    if not windows:
-        raise ValueError("need at least one (n, d) window")
-    if any(n < 0 or d < 0 for n, d in windows):
-        raise ValueError(f"negative window in {windows!r}")
-    n_x = max(n for n, _ in windows)
-    if c.k_max < n_x:
-        raise ValueError(f"c table sized {c.k_max}, need {n_x}")
-    limits = [0] * (n_x + 1)
-    for n, d in windows:
-        limits[n] = max(limits[n], d)
-    for i in range(n_x - 1, -1, -1):
-        limits[i] = max(limits[i], limits[i + 1])
-    slices: dict[int, dict[int, KappaPoly]] = {}
-    for a in range(1, n_x + 1):
-        row = {}
-        for j in range(0, min(a, limits[a]) + 1):
-            cv = c.get(a, j)
-            if cv:
-                row[j] = KappaPoly.gen(a, coeff=-cv)
-        if row:
-            slices[a] = row
-    return PolySeries(("x", "u"), limits, _exp_from_slices(slices, limits))
+    limits = _staircase(windows)
+    return PolySeries(limits, _exp_from_slices(lambda a, j: -c.get(a, j), limits))
 
 
 class TautRelation(NamedTuple):
@@ -552,14 +555,18 @@ def _kappa_symbol(index: int, g: int, coeff: Fraction = _ONE) -> KappaPoly:
 
 
 def _convolve_cell(
-    e: PolySeries, f2: dict[tuple[int, int], KappaPoly], i: int, j: int
+    cells: dict[tuple[int, int], KappaPoly],
+    f2: dict[tuple[int, int], KappaPoly],
+    i: int,
+    j: int,
 ) -> KappaPoly:
-    """Coefficient (i, j) of e * f2 without forming the full product."""
+    """Coefficient (i, j) of the product of two series, each given by its
+    cells, without forming the full product."""
     pairs = []
     for (i2, j2), p in f2.items():
         if i2 > i or j2 > j:
             continue
-        cell = e.cells.get((i - i2, j - j2))
+        cell = cells.get((i - i2, j - j2))
         if cell is not None:
             pairs.append((cell, p, 1))
     return _sum_of_products(pairs)
@@ -596,10 +603,7 @@ def _extract(
         raise ValueError(f"shared exponential does not cover the cell ({n}, {d})")
     if b == 0 and not psi:
         return exp_series.coeff(n, d)
-    f2: dict[tuple[int, int], KappaPoly] = {}
-    lead = _UNIT_POLY if psi else _kappa_symbol(b - 1, g)
-    if not lead.is_zero():
-        f2[(0, 0)] = lead
+    f2 = {(0, 0): _UNIT_POLY if psi else _kappa_symbol(b - 1, g)}
     for a2 in range(0, n):
         for j in range(0, min(a2, d - 1) + 1):
             qv = q.get(a2, j)
@@ -608,7 +612,7 @@ def _extract(
             coeff = Fraction(-2 * qv)
             gen = KappaPoly.gen(0, a2 + 1, coeff) if psi else _kappa_symbol(a2 + b, g, coeff)
             f2[(a2 + 1, j + 1)] = gen
-    return _convolve_cell(exp_series, f2, n, d)
+    return _convolve_cell(exp_series.cells, f2, n, d)
 
 
 def extract_relation(
@@ -637,18 +641,6 @@ def extract_psi_relation(
     return PsiRelation(g=g, d=d, degree=relation_window(g, d, psi=True), poly=poly)
 
 
-def _ode_limits(windows: list[tuple[int, int]]) -> list[int]:
-    """Row limits through the (n, d) windows: J(i) = max{d : n >= i}."""
-    if not windows:
-        raise ValueError("need at least one (n, d) window")
-    if any(n < 0 or d < 0 for n, d in windows):
-        raise ValueError(f"negative window in {windows!r}")
-    return [
-        max(d for n, d in windows if n >= i)
-        for i in range(max(n for n, _ in windows) + 1)
-    ]
-
-
 def ode_exponential(alpha: AlphaTable, windows: list[tuple[int, int]]) -> PolySeries:
     """exp(sum_{a>=2} t^(a-1) kappa_{a-1} sum_j alpha[a][j] w^j) on a staircase.
 
@@ -658,20 +650,11 @@ def ode_exponential(alpha: AlphaTable, windows: list[tuple[int, int]]) -> PolySe
     cells (t^n, w^d) the caller will read; row i is built through w^J(i),
     with J(i) = max{d : (n, d) in windows, n >= i}.
     """
-    limits = _ode_limits(windows)
+    limits = _staircase(windows)
     n_x, n_w = alpha.orders
     if n_x < len(limits) or n_w < limits[0]:
         raise ValueError(f"alpha table sized {alpha.orders}, need ({len(limits)}, {limits[0]})")
-    slices: dict[int, dict[int, KappaPoly]] = {}
-    for m in range(1, len(limits)):
-        row = {}
-        for j in range(0, limits[m] + 1):
-            av = alpha.get(m + 1, j)
-            if av:
-                row[j] = KappaPoly.gen(m, coeff=av)
-        if row:
-            slices[m] = row
-    return PolySeries(("t", "w"), limits, _exp_from_slices(slices, limits))
+    return PolySeries(limits, _exp_from_slices(lambda m, j: alpha.get(m + 1, j), limits))
 
 
 def ode_genus_exponential(
@@ -686,7 +669,7 @@ def ode_genus_exponential(
     """
     if base.genus is not None:
         raise ValueError(f"series already carries the genus-{base.genus} factor")
-    limits = _ode_limits(windows)
+    limits = _staircase(windows)
     if not all(base.covers(i, top) for i, top in enumerate(limits)):
         raise ValueError(f"base series does not cover the windows {windows!r}")
     f0 = UniSeries("w", limits[0], [(2 * g - 2) * alpha.get(1, j) for j in range(limits[0] + 1)])
@@ -699,7 +682,7 @@ def ode_genus_exponential(
             if not ef0[j1].is_zero():
                 buckets.setdefault((i, j1 + j2), []).append((p, ef0[j1], 1))
     cells = {key: _sum_of_products(pairs) for key, pairs in buckets.items()}
-    return PolySeries(("t", "w"), limits, cells, genus=g)
+    return PolySeries(limits, cells, genus=g)
 
 
 def extract_relation_from_ode(
@@ -732,19 +715,13 @@ def extract_relation_from_ode(
     if b == 0:
         poly = ode_series.coeff(t_exp, d)
     else:
-        f2: dict[tuple[int, int], KappaPoly] = {}
-        lead = _kappa_symbol(b - 1, g)
-        if not lead.is_zero():
-            f2[(0, 0)] = lead
+        f2 = {(0, 0): _kappa_symbol(b - 1, g)}
         for a2 in range(0, t_exp + 1):
             for j in range(1, d + 1):
                 av = alpha.get(a2, j)
-                if not av:
-                    continue
-                term = _kappa_symbol(a2 + b - 1, g, coeff=2 * j * av)
-                if not term.is_zero():
-                    f2[(a2, j)] = term
-        poly = _convolve_cell(ode_series, f2, t_exp, d)
+                if av:
+                    f2[(a2, j)] = _kappa_symbol(a2 + b - 1, g, coeff=2 * j * av)
+        poly = _convolve_cell(ode_series.cells, f2, t_exp, d)
     return TautRelation(g=g, d=d, b=b, degree=g + 1 + b - 2 * d, poly=poly)
 
 
@@ -768,33 +745,16 @@ def extract_diagonal_relation(g: int, b: int, a: int, c: CTable) -> DiagonalRela
             raise ValueError(
                 f"inadmissible (g={g}, b={b}, a={a}): need a = (g-1)/3+b or (g+1)/3+b"
             )
-    if c.k_max < a:
-        raise ValueError(f"c table sized {c.k_max}, need {a}")
-    slices = {
-        j: {0: KappaPoly.gen(j, coeff=-c.get(j, j))}
-        for j in range(1, a + 1)
-        if c.get(j, j)
-    }
-    e = _exp_from_slices(slices, [0] * (a + 1))
+    e = _exp_from_slices(lambda m, _: -c.get(m, m), [0] * (a + 1))
     if b == 0:
         poly = e.get((a, 0), KappaPoly())
     else:
-        f2: dict[int, KappaPoly] = {}
-        lead = _kappa_symbol(b - 1, g)
-        if not lead.is_zero():
-            f2[b - 1] = lead
-        if b <= a:
-            f2[b] = KappaPoly.gen(b, coeff=Fraction(-2))
+        f2 = {(b - 1, 0): _kappa_symbol(b - 1, g), (b, 0): KappaPoly.gen(b, coeff=Fraction(-2))}
         for j in range(1, a - b + 1):
             cv = c.get(j, j)
             if cv:
-                f2[j + b] = KappaPoly.gen(j + b, coeff=-12 * j * cv)
-        pairs = []
-        for i, p in f2.items():
-            cell = e.get((a - i, 0))
-            if cell is not None:
-                pairs.append((cell, p, 1))
-        poly = _sum_of_products(pairs)
+                f2[(j + b, 0)] = KappaPoly.gen(j + b, coeff=-12 * j * cv)
+        poly = _convolve_cell(e, f2, a, 0)
     return DiagonalRelation(g=g, b=b, a=a, poly=poly)
 
 

@@ -96,6 +96,45 @@ def oracle_extract(g, d, b, q, c, general=False):
     return {m: v for m, v in total.items() if v}
 
 
+def oracle_diagonal(g, b, a, c):
+    """Monomial map of the diagonal relation: the t^a coefficient of
+    exp(-sum_j c[j][j] kappa_j t^j), times for b >= 1 the factor
+    kappa_{b-1} t^(b-1) - 2 kappa_b t^b - 12 sum_j j c[j][j] kappa_{j+b} t^(j+b).
+
+    The exponential's t^i coefficient is the (x^i, u^0) cell of
+    ``oracle_exp_cell`` for a table whose row k holds c[k][k] at j = 0 alone.
+    """
+
+    class Diagonal:
+        @staticmethod
+        def get(k, j):
+            return c.get(k, k) if j == 0 else Fraction(0)
+
+    if b == 0:
+        return oracle_exp_cell(Diagonal, a, 0)
+    factor = {b - 1: Fraction(1), b: Fraction(-2)}  # index -> coefficient of kappa_index
+    for j in range(1, a - b + 1):
+        factor[j + b] = -12 * j * c.get(j, j)
+    total = {}
+    for idx, f in factor.items():
+        for mono, v in oracle_exp_cell(Diagonal, a - idx, 0).items():
+            if idx == 0:  # kappa_0 is the scalar 2g-2
+                m2, vv = mono, v * f * (2 * g - 2)
+            else:
+                m2, vv = _mono_mul_gen(mono, idx, v * f)
+            total[m2] = total.get(m2, Fraction(0)) + vv
+    return {m: v for m, v in total.items() if v}
+
+
+def ref_staircase(windows):
+    """Row limits through the (n, d) windows, by definition: row i holds the
+    u-exponents up to J(i) = max{d : (n, d) in windows, n >= i}."""
+    return [
+        max(d for n, d in windows if n >= i)
+        for i in range(max(n for n, _ in windows) + 1)
+    ]
+
+
 def as_poly_terms(poly):
     """Terms of a library KappaPoly in the oracle's monomial convention."""
     return {m: v for m, v in poly.terms.items()}

@@ -216,6 +216,8 @@ def test_generator_range_guard_boundary(capsys, monkeypatch):
         ["relation", "--g", "130", "--d", "2", "--psi"],  # n = 128
         ["relation", "--g", "130", "--d", "2", "--b", "1"],  # n = 128
         ["relation", "--g", "132", "--d", "2"],  # b = 0: n = 129
+        ["faber", "--g", "130"],  # solves kappa_128, which holds kappa_1^128
+        ["faber", "--g", "300"],  # refused before its tables are built
     ],
 )
 def test_requests_past_the_operand_exponent_exit_2_at_once(argv):
@@ -244,6 +246,8 @@ def test_operand_exponent_guard_boundary(capsys, monkeypatch):
     assert main(["relation", "--g", "8", "--d", "2", "--b", "1"]) == 2  # n = 6
     assert main(["relation", "--g", "7", "--d", "2", "--psi"]) == 0  # n = 5
     assert main(["relation", "--g", "8", "--d", "2", "--psi"]) == 2  # n = 6
+    assert main(["faber", "--g", "7"]) == 0  # solves up to kappa_5
+    assert main(["faber", "--g", "8"]) == 2  # kappa_6 holds kappa_1^6
 
 
 def test_faber_outputs(capsys):

@@ -119,6 +119,12 @@ def test_every_export_is_its_submodule_object():
         assert name in listed, name
 
 
+@pytest.mark.parametrize("mod", ["exact", "series", "coeffs", "tautring", "relations"])
+def test_each_submodule_all_is_what_the_package_maps_to_it(mod):
+    listed = {name for name, home in tautrel._EXPORTS.items() if home == mod}
+    assert set(importlib.import_module(f"tautrel.{mod}").__all__) == listed
+
+
 def test_submodules_resolve_as_attributes():
     for mod in ("exact", "series", "coeffs", "tautring", "relations"):
         assert getattr(tautrel, mod) is importlib.import_module(f"tautrel.{mod}")

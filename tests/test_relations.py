@@ -114,7 +114,7 @@ def test_scan_reports_remark_formula_mismatches(q20, c20):
 
 
 def test_scan_sample_extractions_lie_on_grid(q20, c20):
-    rep = scan_nonvanishing(6, q20, c20, sample_max=6)
+    rep = scan_nonvanishing(6, q20, c20)
     assert rep.ok
     # 2 table checks per cell plus one sample extraction per (a>=2, d in [2, a])
     cells = 6 * 7 // 2

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tautrel import (
     CTable,
@@ -19,9 +21,14 @@ from tautrel import (
     relation_window,
     solve_series_ode,
 )
-from tautrel.tautring import MAX_OPERAND_EXPONENT, ode_exponential, ode_genus_exponential
+from tautrel.tautring import (
+    MAX_OPERAND_EXPONENT,
+    _staircase,
+    ode_exponential,
+    ode_genus_exponential,
+)
 
-from oracles import oracle_extract
+from oracles import oracle_diagonal, oracle_extract, ref_staircase
 
 
 def poly_of(terms):
@@ -120,6 +127,28 @@ def test_staircase_row_limits(c20):
         kappa_exponential(c20, [])
     with pytest.raises(ValueError):
         kappa_exponential(c20, [(3, -1)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=8))
+def test_staircase_is_the_definition(windows):
+    assert _staircase(windows) == ref_staircase(windows)
+
+
+def test_staircase_refuses_empty_and_negative_windows():
+    with pytest.raises(ValueError, match="at least one"):
+        _staircase([])
+    for windows in ([(3, -1)], [(-1, 2)], [(2, 2), (0, -3)]):
+        with pytest.raises(ValueError, match="negative window"):
+            _staircase(windows)
+
+
+def test_both_routes_build_the_same_staircase(c20):
+    alpha = solve_series_ode(10, 6)
+    for windows in ([(8, 2), (2, 4), (5, 3)], [(6, 2), (2, 4)], [(3, 0)], [(0, 5)]):
+        limits = kappa_exponential(c20, windows).limits
+        assert limits == ode_exponential(alpha, windows).limits, windows
+        assert list(limits) == ref_staircase(windows), windows
 
 
 # ---------------------------------------------------------- main extraction
@@ -306,6 +335,16 @@ def test_diagonal_relation_values(c20):
     assert r.poly == poly_of({((1, 1),): F(-5, 6)})
     # g=3 admits a=2 through the g/3+1 branch
     assert not extract_diagonal_relation(3, 0, 2, c20).poly.is_zero()
+
+
+def test_diagonal_relation_matches_the_oracle(c20):
+    nonzero = 0
+    for g, b, a in [(5, 0, 2), (9, 0, 4), (11, 0, 4), (5, 1, 3), (7, 1, 3),
+                    (7, 2, 4), (8, 2, 5), (10, 3, 6)]:
+        want = oracle_diagonal(g, b, a, c20)
+        assert extract_diagonal_relation(g, b, a, c20).poly.terms == want, (g, b, a)
+        nonzero += b > 0 and bool(want)
+    assert nonzero >= 3
 
 
 def test_diagonal_relation_admissibility(c20):
