@@ -13,13 +13,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys(("BernoulliTable", "Rational", "bernoulli_table", "binomial"), "exact"),
     **dict.fromkeys(("BiSeries", "UniSeries", "binomial_series_coeffs"), "series"),
+    **dict.fromkeys(("CTable", "QTable", "build_c_table", "build_q_table"), "tables"),
     **dict.fromkeys(
         (
             "AlphaTable",
-            "CTable",
-            "QTable",
-            "build_c_table",
-            "build_q_table",
             "diag_ode_residual",
             "expand_closed_form",
             "expand_w_deriv_closed",

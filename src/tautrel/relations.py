@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .coeffs import CTable, QTable, solve_series_ode
+from .tables import CTable, QTable
 from .tautring import (
     KappaPoly,
     extract_relation,
@@ -353,6 +353,8 @@ def cross_pipeline_check(q: QTable, c: CTable, order: int) -> tuple[str, list[st
     """
     if order < 2:
         raise ValueError("need order >= 2")
+    from .coeffs import solve_series_ode
+
     cells = cross_pipeline_cells(min(order, 14))
     windows = [(n, d) for _, d, _, n in cells]
     shared = kappa_exponential(c, windows)

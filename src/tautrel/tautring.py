@@ -35,10 +35,12 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import mul, or_
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .coeffs import AlphaTable, CTable, QTable
-from .series import UniSeries
+from .tables import CTable, QTable
+
+if TYPE_CHECKING:  # the ODE route's table; only its callers load coeffs
+    from .coeffs import AlphaTable
 
 __all__ = [
     "MAX_INDEX",
@@ -672,6 +674,8 @@ def ode_genus_exponential(
     limits = _staircase(windows)
     if not all(base.covers(i, top) for i, top in enumerate(limits)):
         raise ValueError(f"base series does not cover the windows {windows!r}")
+    from .series import UniSeries
+
     f0 = UniSeries("w", limits[0], [(2 * g - 2) * alpha.get(1, j) for j in range(limits[0] + 1)])
     ef0 = [KappaPoly.scalar(v) for v in f0.exp().coeffs]
     buckets: dict[tuple[int, int], list[tuple[KappaPoly, KappaPoly, int]]] = {}

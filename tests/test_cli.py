@@ -310,17 +310,18 @@ def test_verify_all_output_is_pinned(capsys):
 
 @pytest.mark.parametrize("suite", ["identities", "ode", "genfunc", "crosscheck", "all"])
 def test_verify_fails_on_one_wrong_c_entry(capsys, monkeypatch, suite):
-    from tautrel import coeffs
+    from tautrel import tables
 
-    build = coeffs.build_c_table
+    build = tables.build_c_table
 
     def wrong_c(q):
         c = build(q)
         rows = [list(r) for r in c.rows]
         rows[1][2] += 1  # c[2][2]
-        return coeffs.CTable(c.k_max, tuple(tuple(r) for r in rows))
+        return tables.CTable(c.k_max, tuple(tuple(r) for r in rows))
 
-    monkeypatch.setattr(coeffs, "build_c_table", wrong_c)
+    # verify builds its tables through tautrel.tables
+    monkeypatch.setattr(tables, "build_c_table", wrong_c)
     code, out = run(capsys, "verify", "--suite", suite, "--order", "8")
     assert code == 1
     ran = ["identities", "ode", "genfunc", "crosscheck"] if suite == "all" else [suite]

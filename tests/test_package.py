@@ -1,7 +1,8 @@
 """The package namespace, the record types, and what each CLI call loads."""
 
 import importlib
-import json
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -23,19 +24,35 @@ from tautrel import (
     solve_series_ode,
 )
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
+BENCH = ROOT / "bench"
 
 # Runs one CLI call in a fresh interpreter, then prints the names of all
-# loaded modules as the last stdout line.
+# loaded modules, space-separated, as the last stdout line.  It imports
+# nothing beyond sys itself, so the guards can tell whether a call loads json.
 _PROBE = """
-import json, sys
+import sys
 import tautrel.cli
 try:
     code = tautrel.cli.main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
 print()
-print(json.dumps(sorted(sys.modules)))
+print(" ".join(sorted(sys.modules)))
+sys.exit(code)
+"""
+
+# Runs one CLI call as ``python -m tautrel.cli`` does, then prints whether
+# anything imported the module a second time, as ``tautrel.cli``.
+_RUN_AS_MAIN = """
+import runpy, sys
+try:
+    runpy.run_module("tautrel.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print()
+print("tautrel.cli" in sys.modules)
 sys.exit(code)
 """
 
@@ -50,10 +67,10 @@ def _python(*args):
 
 def loaded_by(*argv):
     """Exit code of one CLI call, and the modules it loaded beyond a bare interpreter."""
-    bare = _python("-c", "import json, sys; print(json.dumps(sorted(sys.modules)))")
+    bare = _python("-c", "import sys; print(' '.join(sorted(sys.modules)))")
     proc = _python("-c", _PROBE, *argv)
     after = proc.stdout.splitlines()[-1]
-    return proc.returncode, set(json.loads(after)) - set(json.loads(bare.stdout))
+    return proc.returncode, set(after.split()) - set(bare.stdout.split())
 
 
 def tautrel_modules(mods):
@@ -76,14 +93,25 @@ def test_help_and_usage_errors_load_no_library_module(argv, code):
     rc, mods = loaded_by(*argv)
     assert rc == code
     assert tautrel_modules(mods) == {"tautrel", "tautrel.cli"}
+    assert "json" not in mods
 
 
 def test_relation_loads_neither_relations_nor_dataclasses():
-    rc, mods = loaded_by("relation", "--g", "8", "--d", "2")
+    for form in (["--b", "1"], ["--psi"]):
+        rc, mods = loaded_by("relation", "--g", "8", "--d", "2", *form)
+        assert rc == 0
+        assert tautrel_modules(mods) == {
+            "tautrel", "tautrel.cli", "tautrel.tables", "tautrel.tautring"
+        }, form
+        assert not {"json", "dataclasses"} & mods, form
+
+
+def test_faber_adds_only_relations():
+    rc, mods = loaded_by("faber", "--g", "8", "--rewrite")
     assert rc == 0
-    assert "tautrel.tautring" in mods
-    assert "tautrel.relations" not in mods
-    assert "dataclasses" not in mods
+    assert tautrel_modules(mods) == {
+        "tautrel", "tautrel.cli", "tautrel.tables", "tautrel.tautring", "tautrel.relations"
+    }
 
 
 @pytest.mark.parametrize("suite", ["identities", "ode", "genfunc"])
@@ -101,10 +129,43 @@ def test_crosscheck_loads_relations():
 
 
 def test_coeffs_q_does_not_load_tautring():
-    rc, mods = loaded_by("coeffs", "--table", "q", "--max-k", "4")
-    assert rc == 0
-    assert "tautrel.coeffs" in mods
-    assert "tautrel.tautring" not in mods
+    for table in ("q", "c"):
+        rc, mods = loaded_by("coeffs", "--table", table, "--max-k", "4")
+        assert rc == 0
+        assert "tautrel.tables" in mods
+        assert not {"tautrel.tautring", "tautrel.series"} & mods, table
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--table", "p", "--max-k", "4", "--cache-dir", "CACHE"],
+        ["relation", "--g", "8", "--d", "2"],
+        ["faber", "--g", "8", "--rewrite"],
+    ],
+)
+def test_no_module_imports_the_cli(argv, tmp_path):
+    # Under ``python -m tautrel.cli`` the running module is __main__; an
+    # import of tautrel.cli from the library would compile and run it again.
+    argv = [str(tmp_path) if a == "CACHE" else a for a in argv]
+    proc = _python("-c", _RUN_AS_MAIN, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_every_trace_target_binds_a_function():
+    # bench/tracer.py wraps these by module and name; a name that moved
+    # without a re-import would read as an absent layer in the benchmark
+    spec = importlib.util.spec_from_file_location("tracer", BENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for _, modname, qualname, _ in tracer.TARGETS:
+        owner = importlib.import_module(modname)
+        *path, attr = qualname.split(".")
+        for name in path:
+            owner = getattr(owner, name)
+        assert inspect.isfunction(vars(owner).get(attr)), f"{modname}.{qualname}"
 
 
 # --------------------------------------------------------------- namespace
@@ -119,14 +180,14 @@ def test_every_export_is_its_submodule_object():
         assert name in listed, name
 
 
-@pytest.mark.parametrize("mod", ["exact", "series", "coeffs", "tautring", "relations"])
+@pytest.mark.parametrize("mod", ["exact", "series", "tables", "coeffs", "tautring", "relations"])
 def test_each_submodule_all_is_what_the_package_maps_to_it(mod):
     listed = {name for name, home in tautrel._EXPORTS.items() if home == mod}
     assert set(importlib.import_module(f"tautrel.{mod}").__all__) == listed
 
 
 def test_submodules_resolve_as_attributes():
-    for mod in ("exact", "series", "coeffs", "tautring", "relations"):
+    for mod in ("exact", "series", "tables", "coeffs", "tautring", "relations"):
         assert getattr(tautrel, mod) is importlib.import_module(f"tautrel.{mod}")
 
 

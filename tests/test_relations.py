@@ -240,9 +240,9 @@ def test_cross_pipeline_check_catches_one_wrong_c_entry(q20, c20):
 )
 def test_cross_pipeline_check_catches_one_wrong_alpha_entry(q20, c20, monkeypatch, k, j, cell):
     # alpha[k][j] off by one reaches the ODE route only
-    from tautrel import relations
+    from tautrel import coeffs
 
-    solve = relations.solve_series_ode
+    solve = coeffs.solve_series_ode
 
     def wrong_solve(n_x, n_w):
         alpha = solve(n_x, n_w)
@@ -250,7 +250,8 @@ def test_cross_pipeline_check_catches_one_wrong_alpha_entry(q20, c20, monkeypatc
         rows[k][j] += 1
         return AlphaTable(alpha.orders, tuple(tuple(r) for r in rows))
 
-    monkeypatch.setattr(relations, "solve_series_ode", wrong_solve)
+    # cross_pipeline_check imports the solver from coeffs when it runs
+    monkeypatch.setattr(coeffs, "solve_series_ode", wrong_solve)
     _, failures = cross_pipeline_check(q20, c20, 8)
     assert failures == [f"{cell} pipelines disagree"]
 
