@@ -1,4 +1,4 @@
-"""Exact scalars and elementary number-theoretic tables.
+"""The exact scalar convention and the Bernoulli numbers.
 
 The universal scalar everywhere in this package is ``fractions.Fraction``:
 arbitrary-precision, always stored in lowest terms with a positive
@@ -12,18 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-Rational = Fraction
-
-__all__ = ["Rational", "binomial", "BernoulliTable", "bernoulli_table"]
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for n >= 0, with the convention 0 when k < 0 or k > n."""
-    if n < 0:
-        raise ValueError("binomial requires n >= 0")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
+__all__ = ["BernoulliTable", "bernoulli_table"]
 
 
 class BernoulliTable:

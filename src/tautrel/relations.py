@@ -25,7 +25,6 @@ from .tautring import (
     ode_exponential,
     ode_genus_exponential,
     relation_window,
-    weighted_monomials,
 )
 
 __all__ = [
@@ -45,8 +44,8 @@ __all__ = [
 
 
 class FaberConsistencyError(RuntimeError):
-    """A leading coefficient that must be nonzero vanished, or a solved
-    expression failed its back-substitution check."""
+    """One of faber_solve's three checks failed: a zero leading coefficient,
+    a high generator left by the reduction, or a nonzero back-substitution."""
 
 
 class FaberChoice(NamedTuple):
@@ -105,6 +104,12 @@ def faber_solve(
     map is substituted into each source relation to confirm it vanishes
     exactly.  A zero leading coefficient is a fatal consistency failure,
     not a legal outcome.
+
+    The back-substitution checks the solve step: a wrong leading
+    coefficient fails it.  It does not check the relation itself, since
+    it holds by the linearity of ``substitute`` whatever the relation's
+    other terms are, so a wrong q or c entry changes the expressions and
+    still passes.
     """
     if g < 2:
         raise ValueError("need g >= 2")
@@ -186,8 +191,6 @@ def scan_nonvanishing(a_max: int, q: QTable, c: CTable) -> ScanReport:
     """
     if a_max < 1:
         raise ValueError("a_max must be >= 1")
-    if q.k_max < a_max or c.k_max < a_max:
-        raise ValueError("tables too small for the requested scan")
     rep = ScanReport(a_max)
     # the sample reads the b = 1 relation of (a, d) at the cell (x^a, u^d)
     lim = min(_SAMPLE_MAX, a_max)
@@ -318,7 +321,7 @@ def independence_report(g: int, a: int, q: QTable, c: CTable) -> IndependenceRep
             polys.append(rel.poly)
     rep.n_nonzero = len(polys)
     if polys:
-        basis = weighted_monomials(a)
+        basis = sorted({mono for p in polys for mono in p.terms})
         rows = [[p.coeff(mono) for mono in basis] for p in polys]
         rep.rank = rank_exact(rows)
     return rep

@@ -60,7 +60,6 @@ __all__ = [
     "ode_genus_exponential",
     "relation_json",
     "terms_json",
-    "weighted_monomials",
 ]
 
 _ZERO = Fraction(0)
@@ -165,10 +164,6 @@ class KappaPoly:
         self._num = num
         self._den = den
         self._tops = None
-
-    @classmethod
-    def zero(cls) -> "KappaPoly":
-        return cls()
 
     @classmethod
     def scalar(cls, v: Fraction) -> "KappaPoly":
@@ -396,26 +391,6 @@ def terms_json(poly: KappaPoly) -> str:
         mono = ",".join([keys[i] + digits[e] for i, e in enumerate(_exponents(k)) if e])
         parts.append(f'{{"monomial":{{{mono}}},"coeff":"{coeff}"}}')
     return f"[{','.join(parts)}]"
-
-
-def weighted_monomials(degree: int) -> list[Mono]:
-    """All kappa monomials of the given weighted degree (partitions of it)."""
-    out: list[Mono] = []
-
-    def rec(remaining: int, max_part: int, acc: list[int]) -> None:
-        if remaining == 0:
-            counts: dict[int, int] = {}
-            for part in acc:
-                counts[part] = counts.get(part, 0) + 1
-            out.append(tuple(sorted(counts.items())))
-            return
-        for part in range(min(max_part, remaining), 0, -1):
-            acc.append(part)
-            rec(remaining - part, part, acc)
-            acc.pop()
-
-    rec(degree, degree, [])
-    return out
 
 
 class PolySeries:
@@ -665,9 +640,10 @@ def ode_genus_exponential(
     """``base`` times exp((2g-2) sum_j alpha[1][j] w^j), on the staircase of
     ``windows``: the whole ODE-route exponential of genus g.
 
-    The factor is a scalar series in w, so each cell is a short sum of
-    scaled base cells.  A base that does not cover the windows, or that
-    already carries a genus factor, raises ValueError.
+    The factor is a scalar series in w, read as the cells (0, j) of a
+    second series, so each cell is one ``_convolve_cell``.  A base that
+    does not cover the windows, or that already carries a genus factor,
+    raises ValueError.
     """
     if base.genus is not None:
         raise ValueError(f"series already carries the genus-{base.genus} factor")
@@ -677,15 +653,12 @@ def ode_genus_exponential(
     from .series import UniSeries
 
     f0 = UniSeries("w", limits[0], [(2 * g - 2) * alpha.get(1, j) for j in range(limits[0] + 1)])
-    ef0 = [KappaPoly.scalar(v) for v in f0.exp().coeffs]
-    buckets: dict[tuple[int, int], list[tuple[KappaPoly, KappaPoly, int]]] = {}
-    for (i, j2), p in base.cells.items():
-        if i >= len(limits):
-            continue
-        for j1 in range(0, limits[i] - j2 + 1):
-            if not ef0[j1].is_zero():
-                buckets.setdefault((i, j1 + j2), []).append((p, ef0[j1], 1))
-    cells = {key: _sum_of_products(pairs) for key, pairs in buckets.items()}
+    ef0 = {(0, j): KappaPoly.scalar(v) for j, v in enumerate(f0.exp().coeffs) if v}
+    cells = {
+        (i, j): _convolve_cell(base.cells, ef0, i, j)
+        for i, top in enumerate(limits)
+        for j in range(top + 1)
+    }
     return PolySeries(limits, cells, genus=g)
 
 

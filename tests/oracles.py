@@ -126,6 +126,22 @@ def oracle_diagonal(g, b, a, c):
     return {m: v for m, v in total.items() if v}
 
 
+def partition_monomials(n):
+    """Every kappa monomial of weighted degree n, one per partition of n,
+    as a tuple of (index, exponent) pairs sorted by index."""
+    out = []
+
+    def rec(remaining, max_part, parts):
+        if remaining == 0:
+            out.append(tuple((k, parts.count(k)) for k in sorted(set(parts))))
+            return
+        for part in range(min(max_part, remaining), 0, -1):
+            rec(remaining - part, part, parts + [part])
+
+    rec(n, n, [])
+    return out
+
+
 def ref_staircase(windows):
     """Row limits through the (n, d) windows, by definition: row i holds the
     u-exponents up to J(i) = max{d : (n, d) in windows, n >= i}."""

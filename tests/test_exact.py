@@ -4,7 +4,7 @@ from math import comb, gcd
 
 import pytest
 
-from tautrel import bernoulli_table, binomial
+from tautrel import bernoulli_table
 
 
 def test_rational_arithmetic_examples():
@@ -29,15 +29,6 @@ def test_rational_string_round_trip():
     assert str(Fraction(10, 2)) == "5"  # no "/1" for integers
     assert Fraction("25/72") == Fraction(25, 72)
     assert Fraction("-5") == Fraction(-5)
-
-
-def test_binomial_values_and_boundaries():
-    assert binomial(4, 2) == 6
-    assert binomial(5, 0) == 1
-    assert binomial(3, 5) == 0
-    assert binomial(3, -1) == 0
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
 
 
 def test_bernoulli_small_values():

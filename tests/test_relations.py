@@ -13,10 +13,14 @@ from tautrel import (
     faber_choose,
     faber_solve,
     independence_report,
+    kappa_exponential,
     rank_exact,
+    relation_window,
     scan_nonvanishing,
-    weighted_monomials,
 )
+from tautrel.cli import main
+
+from oracles import partition_monomials
 
 
 # --------------------------------------------------------------- faber_choose
@@ -172,17 +176,25 @@ def test_independence_finds_rank_two(q20, c20):
     assert rep.n_nonzero == 2 and rep.rank == 2
 
 
+def test_independence_rank_matches_rank_over_every_monomial(q20, c20):
+    # a monomial that no relation holds is a zero column, so ranking over
+    # the monomials the relations hold gives the rank over all partitions
+    for g in range(3, 17):
+        reports = [independence_report(g, a, q20, c20) for a in range(1, g)]
+        pairs = [(p["d"], p["b"]) for rep in reports for p in rep.pairs]
+        shared = kappa_exponential(c20, [(relation_window(g, d, b), d) for d, b in pairs])
+        for rep in reports:
+            polys = [
+                extract_relation(g, p["d"], p["b"], q20, c20, exp_series=shared).poly
+                for p in rep.pairs
+                if p["nonzero"]
+            ]
+            basis = partition_monomials(rep.a)
+            rows = [[poly.coeff(m) for m in basis] for poly in polys]
+            assert rep.rank == rank_exact(rows), (g, rep.a)
+
+
 # ------------------------------------------------------------ exact linalg
-
-def test_weighted_monomials_are_partitions():
-    counts = [len(weighted_monomials(n)) for n in range(1, 9)]
-    assert counts == [1, 2, 3, 5, 7, 11, 15, 22]
-    ms = weighted_monomials(6)
-    assert ms == weighted_monomials(6)  # deterministic order
-    assert len(set(ms)) == len(ms)
-    for m in ms:
-        assert sum(idx * e for idx, e in m) == 6
-
 
 def test_rank_exact_basic():
     rows = [
@@ -208,13 +220,31 @@ def test_rank_exact_matches_structured_case():
 
 # ------------------------------------------------------------- failure path
 
-def test_faber_consistency_error_is_raised_on_fabricated_zero(q20, c20):
-    # a relation whose kappa_a coefficient vanishes is a fatal failure;
-    # exercise the error path through a doctored call
-    rel = extract_relation(4, 2, 0, q20, c20)  # zero polynomial
-    assert rel.poly.gen_coeff(1) == 0
-    with pytest.raises(FaberConsistencyError):
-        raise FaberConsistencyError("synthetic")
+# one-line faults in the kernel calls faber_solve makes, each of which must
+# end in its own FaberConsistencyError
+_FABER_FAULTS = {
+    "zero leading coefficient": ("gen_coeff", lambda orig: lambda self, i: F(0)),
+    "reduction left a high generator": ("without_gen", lambda orig: lambda self, i: self),
+    "back-substitution nonzero": ("gen_coeff", lambda orig: lambda self, i: 2 * orig(self, i)),
+}
+
+
+@pytest.mark.parametrize("message", list(_FABER_FAULTS))
+def test_faber_solve_raises_on_each_fault(q20, c20, monkeypatch, message):
+    name, fault = _FABER_FAULTS[message]
+    monkeypatch.setattr(KappaPoly, name, fault(getattr(KappaPoly, name)))
+    with pytest.raises(FaberConsistencyError, match=message):
+        faber_solve(12, q20, c20)
+
+
+def test_faber_cli_exits_1_on_a_consistency_failure(monkeypatch, capsys):
+    name, fault = _FABER_FAULTS["zero leading coefficient"]
+    monkeypatch.setattr(KappaPoly, name, fault(getattr(KappaPoly, name)))
+    assert main(["faber", "--g", "12"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: zero leading coefficient")
 
 
 # ------------------------------------------------------ cross-pipeline check

@@ -52,7 +52,7 @@ def test_kappa_poly_inhomogeneous_detection():
     p = KappaPoly.gen(1) + KappaPoly.gen(2)
     with pytest.raises(ValueError):
         p.homogeneous_degree()
-    assert KappaPoly.zero().homogeneous_degree() is None
+    assert KappaPoly().homogeneous_degree() is None
 
 
 def test_kappa_poly_substitute():
