@@ -16,7 +16,6 @@ _EXPORTS = {
     **dict.fromkeys(("CTable", "QTable", "build_c_table", "build_q_table"), "tables"),
     **dict.fromkeys(
         (
-            "AlphaTable",
             "diag_ode_residual",
             "expand_closed_form",
             "expand_w_deriv_closed",

@@ -67,17 +67,6 @@ def _cmd_relation(args) -> int:
 
     try:
         n = tr.relation_window(args.g, args.d, args.b, args.psi)
-        top = n if args.psi else args.g + 1 + args.b - 2 * args.d  # the relation's degree
-        if top > tr.MAX_INDEX:  # no generator index of a relation exceeds its degree
-            raise ValueError(f"generator index {top} outside 0..{tr.MAX_INDEX}")
-        # The largest exponent a kernel product meets: kappa_1^(n-1) in the
-        # exponential's recurrence, and with a second factor the cell itself
-        # (kappa_1^n, and psi^n for psi) as an operand of the last product.
-        operand = n - 1 if args.b == 0 and not args.psi else n
-        if operand > tr.MAX_OPERAND_EXPONENT:
-            raise ValueError(
-                f"exponent {operand} in a product operand outside 0..{tr.MAX_OPERAND_EXPONENT}"
-            )
         q = tables.build_q_table(max(n, 1))
         c = tables.build_c_table(q)
         if args.psi:
@@ -96,18 +85,12 @@ def _cmd_faber(args) -> int:
     from . import tables
     from . import tautring as tr
 
-    if args.g - 2 > tr.MAX_INDEX:  # faber solves for kappa_{g-2} last
-        print(f"error: generator index {args.g - 2} outside 0..{tr.MAX_INDEX}", file=sys.stderr)
-        return 2
-    # Each solved kappa_a holds a kappa_1^a term, and substitute passes every
-    # term of its operand through the kernel, so the last, a = g-2, must fit.
-    if args.g - 2 > tr.MAX_OPERAND_EXPONENT:
-        print(
-            f"error: exponent {args.g - 2} in a product operand"
-            f" outside 0..{tr.MAX_OPERAND_EXPONENT}",
-            file=sys.stderr,
-        )
-        return 2
+    if args.g - 2 > args.g // 3:  # faber solves for kappa_{g-2} last
+        try:
+            rel.faber_choose(args.g, args.g - 2)
+        except ValueError as exc:  # past the kernel's index or exponent range
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     q = tables.build_q_table(max(args.g, 1))
     c = tables.build_c_table(q)
     try:

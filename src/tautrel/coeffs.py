@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import NamedTuple
 
 from .exact import BernoulliTable, bernoulli_table
 from .series import BiSeries, UniSeries, binomial_series_coeffs
@@ -25,7 +24,6 @@ from .series import BiSeries, UniSeries, binomial_series_coeffs
 from .tables import CTable, QTable, build_c_table, build_q_table  # noqa: F401
 
 __all__ = [
-    "AlphaTable",
     "solve_series_ode",
     "expand_w_deriv_closed",
     "expand_closed_form",
@@ -42,29 +40,10 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
-class AlphaTable(NamedTuple):
-    """Coefficients alpha[k][j] of the ODE solution, 0 <= k <= n_x, 0 <= j <= n_w."""
-
-    orders: tuple[int, int]
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def get(self, k: int, j: int) -> Fraction:
-        n_x, n_w = self.orders
-        if not 0 <= k <= n_x or not 0 <= j <= n_w:
-            raise ValueError(f"alpha table sized {self.orders}, need ({k}, {j})")
-        return self.entries[k][j]
-
-    def to_series(self) -> BiSeries:
-        terms = {}
-        for k, row in enumerate(self.entries):
-            for j, v in enumerate(row):
-                if v:
-                    terms[(k, j)] = v
-        return BiSeries(("x", "w"), self.orders, terms)
-
-
-def solve_series_ode(n_x: int, n_w: int) -> AlphaTable:
+def solve_series_ode(n_x: int, n_w: int) -> BiSeries:
     """Solve x*w*F_ww = w*(F_w)**2 + (1-x)*F_w - 1 as a series in x and w.
+
+    The coefficient of x^k w^j is alpha[k][j], 0 <= k <= n_x, 0 <= j <= n_w.
 
     Writing F = sum_d F_d(x) w^d/d!, equating the coefficient of w^(d-1)
     gives, for every d >= 1,
@@ -99,11 +78,13 @@ def solve_series_ode(n_x: int, n_w: int) -> AlphaTable:
         for k in range(1, n_x + 1):
             out[k] += d * out[k - 1]
         slices.append(UniSeries("x", n_x, out))
-    entries = tuple(
-        tuple(slices[j].coeffs[k] / factorial(j) for j in range(n_w + 1))
-        for k in range(n_x + 1)
-    )
-    return AlphaTable((n_x, n_w), entries)
+    terms = {
+        (k, j): v / factorial(j)
+        for j, s in enumerate(slices)
+        for k, v in enumerate(s.coeffs)
+        if v
+    }
+    return BiSeries(("x", "w"), (n_x, n_w), terms)
 
 
 def _sqrt_shifted_coeffs(n: int) -> list[Fraction]:
@@ -197,16 +178,16 @@ def p_series(k_max: int) -> UniSeries:
     return UniSeries("z", k_max, coeffs)
 
 
-def ode_residual(alpha: AlphaTable) -> BiSeries:
+def ode_residual(f: BiSeries) -> BiSeries:
     """Residual x*w*F_ww - w*(F_w)**2 - (1-x)*F_w + 1 over the exact window.
 
-    Zero through orders (n_x, n_w - 1) is the defining property of the table.
+    Zero through orders (n_x, n_w - 1) is the defining property of the
+    ODE solution.
     """
-    n_x, n_w = alpha.orders
+    n_x, n_w = f.orders
     if n_w < 2:
         raise ValueError("need w-order >= 2 to form the residual")
     window = (n_x, n_w - 1)
-    f = alpha.to_series()
     fw = f.derivative(1)
     fww = fw.derivative(1)
     t1 = fww.shift(0, 1).shift(1, 1).truncate(window)
@@ -225,10 +206,9 @@ def ode_check_failures(q: QTable, c: CTable, n: int) -> tuple[str, list[str]]:
     Needs n >= 2 and both tables sized n - 1 or more.  Returns a summary
     and the failure messages, [] when all hold.
     """
-    alpha = solve_series_ode(n, n)
-    series = alpha.to_series()
+    series = solve_series_ode(n, n)
     failures = []
-    if not ode_residual(alpha).is_zero():
+    if not ode_residual(series).is_zero():
         failures.append("nonzero residual in the defining equation")
     if series != expand_closed_form(c, n, n):
         failures.append("closed form differs from the solved series")

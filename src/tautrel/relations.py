@@ -19,6 +19,7 @@ from typing import NamedTuple
 from .tables import CTable, QTable
 from .tautring import (
     KappaPoly,
+    _check_kernel_bounds,
     extract_relation,
     extract_relation_from_ode,
     kappa_exponential,
@@ -65,12 +66,17 @@ def faber_choose(g: int, a: int) -> FaberChoice:
     [(g+3-a)/2, (g+2)/3] contains an integer, the smallest such d is
     taken with b = a+2d-g-1 >= 2.  Otherwise b is fixed by the parity of
     a-g-1 to 0 or 1 and d = (g+1+b-a)/2.
+
+    The solved kappa_a holds a kappa_1^a term, and ``substitute`` passes
+    every term of its operand through the kernel, so an a past the
+    kernel's generator index or operand exponent raises ValueError.
     """
     if g < 2:
         raise ValueError("need g >= 2")
     lo_a = g // 3 + 1
     if not lo_a <= a <= g - 2:
         raise ValueError(f"a={a} outside generation range [{lo_a}, {g - 2}] for g={g}")
+    _check_kernel_bounds(a, a)
     if 3 * a >= g + 5:
         d_lo = (g + 4 - a) // 2  # ceil((g+3-a)/2)
         d_hi = (g + 2) // 3

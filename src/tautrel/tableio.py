@@ -39,7 +39,7 @@ def _table_rows(kind: str, k_max: int) -> list[tuple]:
     if kind == "alpha":
         a = co.solve_series_ode(k_max, k_max)
         return [
-            (k, j, str(a.get(k, j)))
+            (k, j, str(a.coeff(k, j)))
             for k in range(k_max + 1)
             for j in range(k_max + 1)
         ]

@@ -2,9 +2,9 @@
 
 Generators are indexed by nonnegative integers; index 0 is reserved for the
 extra weight-1 generator psi used by the pointed-curve relation.  The
-index-0 and index-(-1) kappa symbols are never generators: they are
-substituted as the scalars 2g-2 and 0 at extraction time, which keeps
-the ring independent of the genus.
+index-0 kappa symbol is never a generator: it is substituted as the
+scalar 2g-2 at extraction time, which keeps the ring independent of the
+genus.
 
 Inside a polynomial a monomial is a packed exponent vector (Monagan and
 Pearce, CASC 2007): one int holding an 8-bit exponent field per generator
@@ -39,8 +39,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .tables import CTable, QTable
 
-if TYPE_CHECKING:  # the ODE route's table; only its callers load coeffs
-    from .coeffs import AlphaTable
+if TYPE_CHECKING:  # the ODE route's solution; only its callers load series
+    from .series import BiSeries
 
 __all__ = [
     "MAX_INDEX",
@@ -523,9 +523,7 @@ class DiagonalRelation(NamedTuple):
 
 
 def _kappa_symbol(index: int, g: int, coeff: Fraction = _ONE) -> KappaPoly:
-    """kappa_index as a ring element: index -1 -> 0, index 0 -> 2g-2."""
-    if index < 0:
-        return KappaPoly()
+    """kappa_index as a ring element, for index >= 0: index 0 -> 2g-2."""
     if index == 0:
         return KappaPoly.scalar(coeff * (2 * g - 2))
     return KappaPoly.gen(index, coeff=coeff)
@@ -554,14 +552,32 @@ def relation_window(g: int, d: int, b: int = 0, psi: bool = False) -> int:
 
     The plain exponential (b = 0) is read at n = g+1-2d; the exponential
     times the second factor (b >= 1, and every psi relation) at
-    n = g+2-2d.  Raises ValueError unless g >= 2, d >= 2, b >= 0 and n >= 0.
+    n = g+2-2d.  Raises ValueError unless g >= 2, d >= 2, b >= 0 and n >= 0,
+    and when the kernel could not multiply the relation out: a generator
+    index past MAX_INDEX (none exceeds the relation's degree, g+1+b-2d or
+    n for psi), or a product operand past MAX_OPERAND_EXPONENT.  That
+    operand is kappa_1^(n-1) in the exponential's recurrence for b = 0,
+    and with a second factor the cell itself, kappa_1^n or psi^n.
     """
     if g < 2 or d < 2 or b < 0:
         raise ValueError("need g >= 2, d >= 2, b >= 0")
-    n = (g + 1 - 2 * d) if b == 0 and not psi else (g + 2 - 2 * d)
+    plain = b == 0 and not psi
+    n = (g + 1 - 2 * d) if plain else (g + 2 - 2 * d)
     if n < 0:
         raise ValueError(f"relation out of range for (g={g}, d={d}, b={b})")
+    _check_kernel_bounds(n if psi else g + 1 + b - 2 * d, n - 1 if plain else n)
     return n
+
+
+def _check_kernel_bounds(index: int, exponent: int) -> None:
+    """Refuse a generator index past MAX_INDEX or a product operand exponent
+    past MAX_OPERAND_EXPONENT, read at call time."""
+    if index > MAX_INDEX:
+        raise ValueError(f"generator index {index} outside 0..{MAX_INDEX}")
+    if exponent > MAX_OPERAND_EXPONENT:
+        raise ValueError(
+            f"exponent {exponent} in a product operand outside 0..{MAX_OPERAND_EXPONENT}"
+        )
 
 
 def _extract(
@@ -618,7 +634,7 @@ def extract_psi_relation(
     return PsiRelation(g=g, d=d, degree=relation_window(g, d, psi=True), poly=poly)
 
 
-def ode_exponential(alpha: AlphaTable, windows: list[tuple[int, int]]) -> PolySeries:
+def ode_exponential(alpha: BiSeries, windows: list[tuple[int, int]]) -> PolySeries:
     """exp(sum_{a>=2} t^(a-1) kappa_{a-1} sum_j alpha[a][j] w^j) on a staircase.
 
     This is the ODE route's exponential without its a = 1 slice, the
@@ -631,11 +647,11 @@ def ode_exponential(alpha: AlphaTable, windows: list[tuple[int, int]]) -> PolySe
     n_x, n_w = alpha.orders
     if n_x < len(limits) or n_w < limits[0]:
         raise ValueError(f"alpha table sized {alpha.orders}, need ({len(limits)}, {limits[0]})")
-    return PolySeries(limits, _exp_from_slices(lambda m, j: alpha.get(m + 1, j), limits))
+    return PolySeries(limits, _exp_from_slices(lambda m, j: alpha.coeff(m + 1, j), limits))
 
 
 def ode_genus_exponential(
-    base: PolySeries, alpha: AlphaTable, g: int, windows: list[tuple[int, int]]
+    base: PolySeries, alpha: BiSeries, g: int, windows: list[tuple[int, int]]
 ) -> PolySeries:
     """``base`` times exp((2g-2) sum_j alpha[1][j] w^j), on the staircase of
     ``windows``: the whole ODE-route exponential of genus g.
@@ -652,7 +668,7 @@ def ode_genus_exponential(
         raise ValueError(f"base series does not cover the windows {windows!r}")
     from .series import UniSeries
 
-    f0 = UniSeries("w", limits[0], [(2 * g - 2) * alpha.get(1, j) for j in range(limits[0] + 1)])
+    f0 = UniSeries("w", limits[0], [(2 * g - 2) * alpha.coeff(1, j) for j in range(limits[0] + 1)])
     ef0 = {(0, j): KappaPoly.scalar(v) for j, v in enumerate(f0.exp().coeffs) if v}
     cells = {
         (i, j): _convolve_cell(base.cells, ef0, i, j)
@@ -663,7 +679,7 @@ def ode_genus_exponential(
 
 
 def extract_relation_from_ode(
-    g: int, d: int, b: int, alpha: AlphaTable, ode_series: PolySeries | None = None
+    g: int, d: int, b: int, alpha: BiSeries, ode_series: PolySeries | None = None
 ) -> TautRelation:
     """Extract the (g, d, b) relation through the ODE coefficient table.
 
@@ -695,7 +711,7 @@ def extract_relation_from_ode(
         f2 = {(0, 0): _kappa_symbol(b - 1, g)}
         for a2 in range(0, t_exp + 1):
             for j in range(1, d + 1):
-                av = alpha.get(a2, j)
+                av = alpha.coeff(a2, j)
                 if av:
                     f2[(a2, j)] = _kappa_symbol(a2 + b - 1, g, coeff=2 * j * av)
         poly = _convolve_cell(ode_series.cells, f2, t_exp, d)

@@ -5,12 +5,14 @@ exp(-sum_a x^a kappa_a sum_j c[a][j] u^j) is a sum over multisets of
 (a, j) pairs with total x-weight A and u-weight D, each multiset
 contributing prod (-c[a][j])^m / m! on the monomial prod kappa_a^m.
 Nothing here is shared with the production pipeline: no series type,
-no slice recurrence, just recursion over pair multiplicities.
+no slice recurrence, just recursion over pair multiplicities.  The
+socle values below test the relations against mathematics from outside
+the paper.
 """
 
 import json
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from math import comb, factorial
 
 
@@ -140,6 +142,54 @@ def partition_monomials(n):
 
     rec(n, n, [])
     return out
+
+
+# ------------------------------------------------------- Faber's socle values
+#
+# R^{g-2}(M_g) is one-dimensional, so every kappa monomial of weighted
+# degree g-2 is a rational multiple of kappa_{g-2}.  The multiples come from
+# mathematics outside the paper: Faber's proportionality (arXiv
+# math/9711218) at the leaves, and the peel of one kappa class at a time
+# (Kaufmann-Manin-Zagier, arXiv alg-geom/9512012) between them.
+
+
+def _double_factorial(n):
+    out = 1
+    while n > 1:
+        out *= n
+        n -= 2
+    return out
+
+
+def _faber_leaf(g, a):
+    """<pi_* prod_j psi_j^(a_j+1)> for a_j >= 1 with sum a_j = g-2:
+    (2g-3+n)! (2g-1)!! / ((2g-1)! prod_j (2a_j+1)!!)."""
+    den = factorial(2 * g - 1)
+    for aj in a:
+        den *= _double_factorial(2 * aj + 1)
+    return Fraction(factorial(2 * g - 3 + len(a)) * _double_factorial(2 * g - 1), den)
+
+
+@lru_cache(maxsize=None)
+def _peel(g, ks, a):
+    """<prod_{k in ks} kappa_k * P(a)>, for sorted tuples ks and a, where
+    P(a) = pi_* prod_j psi_j^(a_j+1): peels the largest kappa_b off by
+    kappa_b P(a) = P(a + (b,)) - sum_j P(a with a_j -> a_j + b)."""
+    if not ks:
+        return _faber_leaf(g, a)
+    b, rest = ks[-1], ks[:-1]
+    total = _peel(g, rest, tuple(sorted(a + (b,))))
+    for j in range(len(a)):
+        total -= _peel(g, rest, tuple(sorted(a[:j] + (a[j] + b,) + a[j + 1:])))
+    return total
+
+
+def socle_value(g, kappas):
+    """<prod kappa_k for k in kappas> in units of <kappa_{g-2}>, for a
+    multiset of indices k >= 1 of weighted degree g-2."""
+    if sum(kappas) != g - 2 or min(kappas, default=1) < 1:
+        raise ValueError(f"need indices >= 1 of total g-2 = {g - 2}, got {kappas}")
+    return _peel(g, tuple(sorted(kappas)), ())
 
 
 def ref_staircase(windows):

@@ -21,6 +21,16 @@ def run(capsys, *argv):
     return code, out
 
 
+def test_readme_examples_print_what_they_show(capsys):
+    # each "$ tautrel ..." line of the README, against the line after it
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    examples = [(line, lines[i + 1]) for i, line in enumerate(lines) if line.startswith("$ tautrel ")]
+    assert len(examples) >= 2
+    for command, shown in examples:
+        code, out = run(capsys, *command.split()[2:])
+        assert (code, out) == (0, shown + "\n"), command
+
+
 def test_coeffs_q_csv(capsys):
     code, out = run(capsys, "coeffs", "--table", "q", "--max-k", "2", "--format", "csv")
     assert code == 0

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from tautrel import (
-    AlphaTable,
+    BiSeries,
     CTable,
     QTable,
     bernoulli_table,
@@ -94,22 +94,24 @@ def test_c_column_zero_is_bernoulli(q20, c20):
 def test_alpha_initial_slice_and_known_columns():
     a = solve_series_ode(8, 6)
     bern = bernoulli_table(8)
-    assert a.get(0, 0) == 0 and a.get(1, 0) == 0
+    assert a.coeff(0, 0) == 0 and a.coeff(1, 0) == 0
     for k in range(2, 9):
-        assert a.get(k, 0) == -bern[k] / (k * (k - 1))
-    assert a.get(2, 0) == F(-1, 12)
+        assert a.coeff(k, 0) == -bern[k] / (k * (k - 1))
+    assert a.coeff(2, 0) == F(-1, 12)
     # x^0 column: signed Catalan over j, alpha[0][j+1] = (-1)^j C_j/(j+1)
-    assert [a.get(0, j) for j in range(1, 5)] == [F(1), F(-1, 2), F(2, 3), F(-5, 4)]
+    assert [a.coeff(0, j) for j in range(1, 5)] == [F(1), F(-1, 2), F(2, 3), F(-5, 4)]
     # x^1 column: (1/4)(-1)^(j-1) 4^j / j
-    assert a.get(1, 1) == 1 and a.get(1, 2) == -2 and a.get(1, 3) == F(16, 3)
+    assert a.coeff(1, 1) == 1 and a.coeff(1, 2) == -2 and a.coeff(1, 3) == F(16, 3)
     # w^1 column is constant 1
-    assert all(a.get(k, 1) == 1 for k in range(9))
+    assert all(a.coeff(k, 1) == 1 for k in range(9))
 
 
 @pytest.mark.parametrize("orders", [(1, 1), (1, 4), (4, 1), (15, 8), (8, 15), (24, 24)])
 def test_alpha_matches_unpaired_recurrence(orders):
     a = solve_series_ode(*orders)
-    assert [list(row) for row in a.entries] == ref_solve_series_ode(*orders)
+    n_x, n_w = orders
+    rows = [[a.coeff(k, j) for j in range(n_w + 1)] for k in range(n_x + 1)]
+    assert rows == ref_solve_series_ode(*orders)
 
 
 def test_alpha_defining_equation_residual():
@@ -138,9 +140,9 @@ def test_closed_form_spot_values(c20):
 
 def test_closed_forms_match_ode_solution(q20, c20):
     a = solve_series_ode(10, 9)
-    assert expand_closed_form(c20, 10, 9) == a.to_series()
+    assert expand_closed_form(c20, 10, 9) == a
     gw = expand_w_deriv_closed(q20, 10, 9)
-    assert gw.truncate((10, 8)) == a.to_series().derivative(1)
+    assert gw.truncate((10, 8)) == a.derivative(1)
 
 
 def test_closed_forms_demand_big_enough_tables():
@@ -226,9 +228,8 @@ def test_ode_check_failures_catch_one_wrong_alpha_entry(monkeypatch):
     q = build_q_table(7)
     c = build_c_table(q)
     good = solve_series_ode(8, 8)
-    rows = [list(r) for r in good.entries]
-    rows[3][2] += F(1, rows[3][2].denominator)
-    wrong = AlphaTable(good.orders, tuple(tuple(r) for r in rows))
+    v = good.coeff(3, 2)
+    wrong = BiSeries(good.vars, good.orders, {**good.coeffs, (3, 2): v + F(1, v.denominator)})
     monkeypatch.setattr(coeffs, "solve_series_ode", lambda n_x, n_w: wrong)
     _, failures = ode_check_failures(q, c, 8)
     assert "nonzero residual in the defining equation" in failures

@@ -21,7 +21,6 @@ from tautrel import (
     extract_relation,
     faber_choose,
     faber_solve,
-    solve_series_ode,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -207,7 +206,6 @@ def _records():
     return [
         q,
         c,
-        solve_series_ode(3, 3),
         extract_relation(6, 2, 1, q, c),
         extract_psi_relation(5, 2, q, c),
         extract_diagonal_relation(5, 1, 3, c),

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from tautrel import (
-    AlphaTable,
+    BiSeries,
     CTable,
     FaberConsistencyError,
     KappaPoly,
@@ -20,7 +20,7 @@ from tautrel import (
 )
 from tautrel.cli import main
 
-from oracles import partition_monomials
+from oracles import partition_monomials, socle_value
 
 
 # --------------------------------------------------------------- faber_choose
@@ -247,6 +247,41 @@ def test_faber_cli_exits_1_on_a_consistency_failure(monkeypatch, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: zero leading coefficient")
 
 
+# ------------------------------------------ faber against Faber's socle values
+
+def _pairing(g, expr):
+    """<(kappa_a - rhs) kappa_1^(g-2-a)> in units of <kappa_{g-2}>: zero when
+    kappa_a = rhs holds in the tautological ring."""
+    pad = (1,) * (g - 2 - expr.a)
+    total = socle_value(g, (expr.a, *pad))
+    for mono, v in expr.rhs.terms.items():
+        total -= v * socle_value(g, tuple(i for i, e in mono for _ in range(e)) + pad)
+    return total
+
+
+def test_socle_values_by_hand():
+    assert socle_value(4, (1, 1)) == F(32, 3)
+    assert socle_value(5, (1, 2)) == 20
+    assert socle_value(5, (1, 1, 1)) == 288
+
+
+def test_faber_expressions_pair_to_zero(q20, c20):
+    for g in range(4, 19):
+        for expr in faber_solve(g, q20, c20):
+            assert _pairing(g, expr) == 0, (g, expr.a)
+
+
+def test_faber_solve_passes_a_wrong_c_entry_the_pairing_sees(q20, c20):
+    # A known gap: faber_solve's back-substitution holds by linearity, so a
+    # wrong c entry changes every expression and raises nothing.
+    rows = [list(r) for r in c20.rows]
+    rows[1][1] += F(1, 1000)  # c[2][1]
+    wrong = CTable(c20.k_max, tuple(tuple(r) for r in rows))
+    exprs = faber_solve(12, q20, wrong)
+    assert len(exprs) == 6
+    assert all(_pairing(12, e) != 0 for e in exprs)
+
+
 # ------------------------------------------------------ cross-pipeline check
 
 def test_cross_pipeline_check_catches_one_wrong_c_entry(q20, c20):
@@ -276,9 +311,7 @@ def test_cross_pipeline_check_catches_one_wrong_alpha_entry(q20, c20, monkeypatc
 
     def wrong_solve(n_x, n_w):
         alpha = solve(n_x, n_w)
-        rows = [list(r) for r in alpha.entries]
-        rows[k][j] += 1
-        return AlphaTable(alpha.orders, tuple(tuple(r) for r in rows))
+        return BiSeries(alpha.vars, alpha.orders, {**alpha.coeffs, (k, j): alpha.coeff(k, j) + 1})
 
     # cross_pipeline_check imports the solver from coeffs when it runs
     monkeypatch.setattr(coeffs, "solve_series_ode", wrong_solve)

@@ -16,11 +16,13 @@ from tautrel import (
     extract_relation,
     extract_relation_from_ode,
     faber_choose,
+    faber_solve,
     kappa_exponential,
     relation_json,
     relation_window,
     solve_series_ode,
 )
+from tautrel import tautring
 from tautrel.tautring import (
     MAX_OPERAND_EXPONENT,
     _staircase,
@@ -432,23 +434,57 @@ def _kappa_1_only_tables(n):
         (0, True, MAX_OPERAND_EXPONENT),
     ],
 )
-def test_largest_window_the_kernel_multiplies(b, psi, last):
-    # `relation` refuses a window n past `last` up front (exit 2); here the
-    # kernel itself shows that `last` runs and `last + 1` overflows
+def test_largest_window_the_kernel_multiplies(monkeypatch, b, psi, last):
+    # relation_window refuses a window n past `last`; with its bound lifted
+    # by one, the kernel itself shows that `last` runs and `last + 1` overflows
     q, c = _kappa_1_only_tables(last + 1)
     d = 2
     for n in (last, last + 1):
         g = n + 2 * d - (1 if b == 0 and not psi else 2)
-        assert relation_window(g, d, b, psi) == n
 
         def run():
             return extract_psi_relation(g, d, q, c) if psi else extract_relation(g, d, b, q, c)
 
         if n == last:
+            assert relation_window(g, d, b, psi) == n
             assert not run().poly.is_zero()
         else:
+            with pytest.raises(ValueError, match="in a product operand outside"):
+                relation_window(g, d, b, psi)
+            monkeypatch.setattr(tautring, "MAX_OPERAND_EXPONENT", MAX_OPERAND_EXPONENT + 1)
+            assert relation_window(g, d, b, psi) == n
             with pytest.raises(OverflowError):
                 run()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda q, c: extract_relation(10, 2, 0, q, c),  # kappa_1^6 in the recurrence
+        lambda q, c: extract_psi_relation(8, 2, q, c),  # psi^6 times the second factor
+        lambda q, c: faber_solve(8, q, c),  # the solved kappa_6 holds kappa_1^6
+    ],
+    ids=["relation", "psi", "faber"],
+)
+def test_library_calls_refuse_past_the_operand_exponent(q20, c20, monkeypatch, call):
+    def no_product(*args, **kwargs):
+        raise AssertionError("a kernel product ran before the refusal")
+
+    monkeypatch.setattr(tautring, "MAX_OPERAND_EXPONENT", 5)
+    monkeypatch.setattr(tautring, "_sum_of_products", no_product)
+    with pytest.raises(ValueError, match=r"exponent 6 in a product operand outside 0\.\.5"):
+        call(q20, c20)
+
+
+def test_library_calls_refuse_past_the_generator_index(monkeypatch):
+    monkeypatch.setattr(tautring, "MAX_INDEX", 5)
+    assert relation_window(8, 2) == 5 and faber_choose(7, 5).a == 5
+    with pytest.raises(ValueError, match=r"generator index 6 outside 0\.\.5"):
+        relation_window(9, 2)  # degree 6
+    with pytest.raises(ValueError, match=r"generator index 6 outside 0\.\.5"):
+        relation_window(6, 2, 3)  # degree 6 at window n = 4
+    with pytest.raises(ValueError, match=r"generator index 6 outside 0\.\.5"):
+        faber_choose(8, 6)
 
 
 # -------------------------------------------------------------- serialization
