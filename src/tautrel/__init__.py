@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
 _EXPORTS = {
-    **dict.fromkeys(("BernoulliTable", "bernoulli_table"), "exact"),
+    "bernoulli_table": "exact",
     **dict.fromkeys(("BiSeries", "UniSeries", "binomial_series_coeffs"), "series"),
     **dict.fromkeys(("CTable", "QTable", "build_c_table", "build_q_table"), "tables"),
     **dict.fromkeys(

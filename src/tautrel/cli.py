@@ -113,7 +113,7 @@ def _cmd_scan(args) -> int:
     q = tables.build_q_table(args.max_a)
     c = tables.build_c_table(q)
     report = rel.scan_nonvanishing(args.max_a, q, c)
-    print(json.dumps(report.to_obj(), separators=(",", ":")))
+    print(json.dumps(report._asdict(), separators=(",", ":")))
     return 0 if report.ok else 1
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .exact import BernoulliTable, bernoulli_table
+from .exact import bernoulli_table
 from .series import BiSeries, UniSeries, binomial_series_coeffs
 # re-exported, so ``tautrel.coeffs.build_q_table`` still names the builder
 from .tables import CTable, QTable, build_c_table, build_q_table  # noqa: F401
@@ -290,7 +290,7 @@ def genfunc_check(q: QTable, c: CTable, k_max: int) -> tuple[str, list[str]]:
     return f"diagonal series matched; {spots}", failures
 
 
-def remark_identity_failures(q: QTable, bern: BernoulliTable, k_max: int) -> list[str]:
+def remark_identity_failures(q: QTable, bern: tuple[Fraction, ...], k_max: int) -> list[str]:
     """Check B_{k+1}/(k(k+1)) = (1/4) sum_l (-4)^(-l) q[k][l] l! / prod_i (k/2+i).
 
     The product runs over i = 0..l, so the half-integer factorial ratio is

@@ -12,29 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-__all__ = ["BernoulliTable", "bernoulli_table"]
+__all__ = ["bernoulli_table"]
 
 
-class BernoulliTable:
-    """Bernoulli numbers B_0 .. B_max_index (first convention, B_1 = -1/2)."""
-
-    __slots__ = ("max_index", "values")
-
-    def __init__(self, max_index: int, values: tuple[Fraction, ...]):
-        self.max_index = max_index
-        self.values = values
-
-    def __repr__(self) -> str:
-        return f"BernoulliTable(max_index={self.max_index}, values={self.values!r})"
-
-    def __getitem__(self, n: int) -> Fraction:
-        if not 0 <= n <= self.max_index:
-            raise IndexError(f"B_{n} not tabulated (max index {self.max_index})")
-        return self.values[n]
-
-
-def bernoulli_table(n_max: int) -> BernoulliTable:
-    """Build B_0..B_n_max by the convolution recurrence.
+def bernoulli_table(n_max: int) -> tuple[Fraction, ...]:
+    """B_0..B_n_max (first convention, B_1 = -1/2) by the convolution recurrence.
 
     For n >= 1:  sum_{j=0}^{n} C(n+1, j) * B_j = 0, solved for B_n.
     """
@@ -44,4 +26,4 @@ def bernoulli_table(n_max: int) -> BernoulliTable:
     for n in range(1, n_max + 1):
         s = sum(comb(n + 1, j) * values[j] for j in range(n))
         values.append(Fraction(-s, n + 1))
-    return BernoulliTable(n_max, tuple(values))
+    return tuple(values)

@@ -157,32 +157,16 @@ def faber_solve(
 _SAMPLE_MAX = 8
 
 
-class ScanReport:
-    """Nonvanishing scan outcome over 1 <= d <= a <= a_max."""
+class ScanReport(NamedTuple):
+    """Nonvanishing scan outcome: checks made, failures, remark-formula mismatches."""
 
-    def __init__(self, a_max: int):
-        self.a_max = a_max
-        self.checked = 0
-        self.failures: list[dict] = []
-        self.remark_formula_mismatches: list[dict] = []
-
-    def __repr__(self) -> str:
-        return (
-            f"ScanReport(a_max={self.a_max}, checked={self.checked},"
-            f" failures={self.failures!r},"
-            f" remark_formula_mismatches={self.remark_formula_mismatches!r})"
-        )
+    checked: int
+    failures: list[dict]
+    remark_formula_mismatches: list[dict]
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def to_obj(self) -> dict:
-        return {
-            "checked": self.checked,
-            "failures": self.failures,
-            "remark_formula_mismatches": self.remark_formula_mismatches,
-        }
 
 
 def scan_nonvanishing(a_max: int, q: QTable, c: CTable) -> ScanReport:
@@ -197,29 +181,31 @@ def scan_nonvanishing(a_max: int, q: QTable, c: CTable) -> ScanReport:
     """
     if a_max < 1:
         raise ValueError("a_max must be >= 1")
-    rep = ScanReport(a_max)
-    # the sample reads the b = 1 relation of (a, d) at the cell (x^a, u^d)
+    checked = 0
+    failures: list[dict] = []
+    mismatches: list[dict] = []
+    # the b = 1 relation of each sampled (a, d), in genus a+2d-2
     lim = min(_SAMPLE_MAX, a_max)
-    windows = [(a, d) for a in range(2, lim + 1) for d in range(2, a + 1)]
+    windows = [
+        (relation_window(a + 2 * d - 2, d, 1), d)
+        for a in range(2, lim + 1)
+        for d in range(2, a + 1)
+    ]
     shared = kappa_exponential(c, windows) if windows else None
     for a in range(1, a_max + 1):
         for d in range(1, a + 1):
             cad = c.get(a, d)
             g1 = a + 2 * d - 2
-            rep.checked += 1
+            checked += 1
             if cad == 0:
-                rep.failures.append(
-                    {"a": a, "d": d, "g": a + 2 * d - 1, "b": 0, "value": "0"}
-                )
+                failures.append({"a": a, "d": d, "g": a + 2 * d - 1, "b": 0, "value": "0"})
             coef_b1 = (2 * g1 - 2) * cad + 2 * q.get(a - 1, d - 1)
-            rep.checked += 1
+            checked += 1
             if coef_b1 == 0:
-                rep.failures.append(
-                    {"a": a, "d": d, "g": g1, "b": 1, "value": "0"}
-                )
+                failures.append({"a": a, "d": d, "g": g1, "b": 1, "value": "0"})
             remark = (2 * a - 4 * d - 6) * cad + 2 * q.get(a - 1, d - 1)
             if remark != coef_b1:
-                rep.remark_formula_mismatches.append(
+                mismatches.append(
                     {
                         "a": a,
                         "d": d,
@@ -229,11 +215,11 @@ def scan_nonvanishing(a_max: int, q: QTable, c: CTable) -> ScanReport:
                         "remark_formula": str(remark),
                     }
                 )
-            if shared is not None and a <= _SAMPLE_MAX and d >= 2 and g1 >= 2:
+            if a <= _SAMPLE_MAX and d >= 2:
                 rel = extract_relation(g1, d, 1, q, c, exp_series=shared)
-                rep.checked += 1
+                checked += 1
                 if rel.poly.gen_coeff(a) != -coef_b1:
-                    rep.failures.append(
+                    failures.append(
                         {
                             "a": a,
                             "d": d,
@@ -243,7 +229,7 @@ def scan_nonvanishing(a_max: int, q: QTable, c: CTable) -> ScanReport:
                             "kind": "sample_extraction_mismatch",
                         }
                     )
-    return rep
+    return ScanReport(checked, failures, mismatches)
 
 
 def rank_exact(rows: list[list[Fraction]]) -> int:
@@ -280,21 +266,14 @@ def rank_exact(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-class IndependenceReport:
+class IndependenceReport(NamedTuple):
     """All relations of one weighted degree for one genus, with their rank."""
 
-    def __init__(self, g: int, a: int):
-        self.g = g
-        self.a = a
-        self.pairs: list[dict] = []  # {d, b, nonzero}
-        self.n_nonzero = 0
-        self.rank = 0
-
-    def __repr__(self) -> str:
-        return (
-            f"IndependenceReport(g={self.g}, a={self.a}, pairs={self.pairs!r},"
-            f" n_nonzero={self.n_nonzero}, rank={self.rank})"
-        )
+    g: int
+    a: int
+    pairs: list[dict]  # {d, b, nonzero}
+    n_nonzero: int
+    rank: int
 
     @property
     def ok(self) -> bool:
@@ -309,28 +288,24 @@ def independence_report(g: int, a: int, q: QTable, c: CTable) -> IndependenceRep
     """
     if g < 2 or a < 1:
         raise ValueError("need g >= 2 and a >= 1")
-    rep = IndependenceReport(g=g, a=a)
     cells = [
         (d, b, relation_window(g, d, b))
         for d in range(2, (g + 2) // 2 + 1)
         if (b := a + 2 * d - g - 1) >= 0
     ]
-    if not cells:
-        return rep
-    shared = kappa_exponential(c, [(x, d) for d, _, x in cells])
+    pairs: list[dict] = []
     polys: list[KappaPoly] = []
-    for d, b, _ in cells:
-        rel = extract_relation(g, d, b, q, c, exp_series=shared)
-        nonzero = not rel.poly.is_zero()
-        rep.pairs.append({"d": d, "b": b, "nonzero": nonzero})
-        if nonzero:
-            polys.append(rel.poly)
-    rep.n_nonzero = len(polys)
-    if polys:
-        basis = sorted({mono for p in polys for mono in p.terms})
-        rows = [[p.coeff(mono) for mono in basis] for p in polys]
-        rep.rank = rank_exact(rows)
-    return rep
+    if cells:
+        shared = kappa_exponential(c, [(x, d) for d, _, x in cells])
+        for d, b, _ in cells:
+            poly = extract_relation(g, d, b, q, c, exp_series=shared).poly
+            nonzero = not poly.is_zero()
+            pairs.append({"d": d, "b": b, "nonzero": nonzero})
+            if nonzero:
+                polys.append(poly)
+    basis = sorted({mono for p in polys for mono in p.terms})
+    rank = rank_exact([[p.coeff(mono) for mono in basis] for p in polys])
+    return IndependenceReport(g, a, pairs, len(polys), rank)
 
 
 def cross_pipeline_cells(g_max: int) -> list[tuple[int, int, int, int]]:

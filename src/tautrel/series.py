@@ -225,8 +225,6 @@ class BiSeries:
 
     def scale(self, r: Fraction) -> "BiSeries":
         r = Fraction(r)
-        if not r:
-            return BiSeries.zero(self.vars, self.orders)
         return BiSeries(self.vars, self.orders, {k: r * v for k, v in self.coeffs.items()})
 
     def _integer_rows(self) -> tuple[list[list[int]], int]:

@@ -191,6 +191,19 @@ def test_relation_out_of_range(capsys):
     assert code == 2 and "outside 0..1023" in capsys.readouterr().err
 
 
+def _fresh_cli(argv):
+    """``python -m tautrel.cli`` in a fresh process, so a request that is not
+    refused fails at the timeout instead of running on."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "tautrel.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -200,13 +213,12 @@ def test_relation_out_of_range(capsys):
         ["faber", "--g", "1100"],
     ],
 )
-def test_requests_past_the_generator_range_exit_2_at_once(capsys, argv):
+def test_requests_past_the_generator_range_exit_2_at_once(argv):
     # refused before the size-1000 tables are built, which takes minutes
     start = time.perf_counter()
-    code = main(argv)
-    assert code == 2 and time.perf_counter() - start < 5
-    captured = capsys.readouterr()
-    assert captured.out == "" and "outside 0..1023" in captured.err
+    proc = _fresh_cli(argv)
+    assert proc.returncode == 2 and time.perf_counter() - start < 5
+    assert proc.stdout == "" and "outside 0..1023" in proc.stderr
 
 
 def test_generator_range_guard_boundary(capsys, monkeypatch):
@@ -232,16 +244,8 @@ def test_generator_range_guard_boundary(capsys, monkeypatch):
 )
 def test_requests_past_the_operand_exponent_exit_2_at_once(argv):
     # The kernel could only end such a run in OverflowError, after an
-    # exponential too large to build.  A fresh process, so a request that
-    # is not refused fails at the timeout instead of running on.
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "tautrel.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=10,
-    )
+    # exponential too large to build.
+    proc = _fresh_cli(argv)
     assert proc.returncode == 2
     assert proc.stdout == "" and "outside 0..127" in proc.stderr
 

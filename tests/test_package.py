@@ -12,8 +12,6 @@ import pytest
 
 import tautrel
 from tautrel import (
-    IndependenceReport,
-    ScanReport,
     build_c_table,
     build_q_table,
     extract_diagonal_relation,
@@ -21,6 +19,8 @@ from tautrel import (
     extract_relation,
     faber_choose,
     faber_solve,
+    independence_report,
+    scan_nonvanishing,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -211,6 +211,8 @@ def _records():
         extract_diagonal_relation(5, 1, 3, c),
         faber_choose(10, 4),
         faber_solve(8, q, c)[0],
+        scan_nonvanishing(3, q, c),
+        independence_report(8, 3, q, c),
     ]
 
 
@@ -225,10 +227,15 @@ def test_records_compare_by_value_and_reject_assignment():
 
 
 def test_reports_do_not_share_lists():
-    a, b = ScanReport(5), ScanReport(5)
-    a.failures.append({"a": 1})
-    a.remark_formula_mismatches.append({"a": 1})
-    assert b.failures == [] and b.remark_formula_mismatches == []
-    c, d = IndependenceReport(8, 3), IndependenceReport(8, 3)
-    c.pairs.append({"d": 2, "b": 0, "nonzero": True})
-    assert d.pairs == []
+    # the reports' list fields are mutable, so each call builds its own
+    q = build_q_table(8)
+    c = build_c_table(q)
+    first, second = scan_nonvanishing(3, q, c), scan_nonvanishing(3, q, c)
+    assert first.failures is not second.failures
+    assert first.remark_formula_mismatches is not second.remark_formula_mismatches
+    first.failures.append({"a": 1})
+    assert second.failures == []
+    first, second = independence_report(8, 3, q, c), independence_report(8, 3, q, c)
+    assert first.pairs is not second.pairs
+    first.pairs.append({"d": 2, "b": 0, "nonzero": True})
+    assert second.pairs != first.pairs
