@@ -26,6 +26,15 @@ sorted by index (``Mono``): ``terms``, ``sorted_terms``, ``coeff`` and the
 constructor speak that form.  The weighted degree of a monomial counts
 index*exponent (psi counts 1 per power).  Every extracted relation is
 homogeneous in this grading.
+
+An exponential exp(sum_m v1^m kappa_m sum_j coeff(m, j) v2^j) is built as
+two factors, E0(v1) G(v1, v2): E0 is the exponential of the v2^0 slice, G
+that of the rest, which stops at the largest v2 power read and stays small.
+A relation read on its own (``extract_relation`` or ``extract_psi_relation``
+with no shared series) is the one cell of E0 (G F2), F2 its second factor,
+and no other cell is formed.  A series that many reads share
+(``kappa_exponential``, the ODE and diagonal routes) keeps its cells, each
+sum_k E0_k G(i-k, j).
 """
 
 from __future__ import annotations
@@ -317,6 +326,8 @@ def _poly(num: dict[int, int], den: int) -> KappaPoly:
 
 
 _UNIT_POLY = _poly({0: 1}, 1)
+# The cells (i, j) of a bivariate series, or of one of its factors.
+_Cells = dict[tuple[int, int], KappaPoly]
 
 
 def _sum_of_products(
@@ -406,12 +417,7 @@ class PolySeries:
 
     __slots__ = ("limits", "cells", "genus")
 
-    def __init__(
-        self,
-        limits: list[int],
-        cells: dict[tuple[int, int], KappaPoly],
-        genus: int | None = None,
-    ):
+    def __init__(self, limits: list[int], cells: _Cells, genus: int | None = None):
         self.limits = tuple(limits)
         self.cells = {k: p for k, p in cells.items() if not p.is_zero()}
         self.genus = genus
@@ -425,42 +431,50 @@ class PolySeries:
         return 0 <= i < len(self.limits) and 0 <= j <= self.limits[i]
 
 
-def _exp_from_slices(
-    coeff: Callable[[int, int], Fraction], limits: list[int]
-) -> dict[tuple[int, int], KappaPoly]:
-    """exp of sum_{m>=1} s_m v1^m, cellwise on the cells j <= limits[i], where
-    the slice s_m is sum_j coeff(m, j) kappa_m v2^j.
+def _exp_factors(coeff: Callable[[int, int], Fraction], limits: list[int]) -> tuple[_Cells, _Cells]:
+    """exp of sum_{m>=1} s_m v1^m, with s_m = sum_l coeff(m, l) kappa_m v2^l,
+    as its two factors E0(v1) G(v1, v2) on the cells j <= limits[i].
 
-    Every slice is read from ``coeff`` before the first product.  Uses the
-    derivative recurrence in the first variable:
-    i * e_i = sum_m m * s_m * e_{i-m}, one kernel call per cell.  The
-    limits must not increase with i, so that every cell the recurrence
-    reads, (i-m, j' <= j), lies inside them, and slice m is read through
-    v2^limits[m] only.  Every cell is returned, zero ones included.
+    E0, the exponential of the v2^0 slices, follows the recurrence in v1,
+    i * E0_i = sum_m m * s_{m,0} * E0_{i-m}; G, the exponential of the
+    rest, the recurrence in v2, j * G_j = sum_l l * A_l * G_{j-l} with
+    A_l = sum_m s_{m,l} v1^m, one kernel call per cell.  Every slice is read
+    before the first product, slice m through v2^limits[m] only.  The limits
+    must not increase with i, so that every cell a recurrence reads lies
+    inside them.  Returns E0 as the cells (i, 0), G as its nonzero cells.
     """
-    slices: dict[int, dict[int, KappaPoly]] = {}
+    slices: list[dict[int, KappaPoly]] = [{} for _ in range(limits[0] + 1)]
     for m in range(1, len(limits)):
-        slices[m] = row = {}
-        for j in range(limits[m] + 1):
-            v = coeff(m, j)
-            if v:
-                row[j] = KappaPoly.gen(m, coeff=v)
-    e: list[dict[int, KappaPoly]] = [{0: _UNIT_POLY}]
+        for l in range(limits[m] + 1):
+            if v := coeff(m, l):
+                slices[l][m] = KappaPoly.gen(m, coeff=v)
+    e0 = {(0, 0): _UNIT_POLY}
     for i in range(1, len(limits)):
-        top = limits[i]
-        buckets: dict[int, list[tuple[KappaPoly, KappaPoly, int]]] = {}
-        for m in range(1, i + 1):
-            sm = slices[m]
-            if not sm:
-                continue
-            em = e[i - m]
-            for jm, p in sm.items():
-                for je, qp in em.items():
-                    j = jm + je
-                    if j <= top:
-                        buckets.setdefault(j, []).append((p, qp, m))
-        e.append({j: _sum_of_products(pairs, div=i) for j, pairs in buckets.items()})
-    return {(i, j): p for i, row in enumerate(e) for j, p in row.items()}
+        pairs = [(s, e0[(i - m, 0)], m) for m, s in slices[0].items() if m <= i]
+        e0[(i, 0)] = _sum_of_products(pairs, div=i)
+    g = {(0, 0): _UNIT_POLY}
+    for j in range(1, limits[0] + 1):
+        for i in range(1, sum(top >= j for top in limits)):
+            pairs = [
+                (s, g[(i - m, j - l)], l)
+                for l in range(1, j + 1)
+                for m, s in slices[l].items()
+                if (i - m, j - l) in g
+            ]
+            if not (cell := _sum_of_products(pairs, div=j)).is_zero():
+                g[(i, j)] = cell
+    return e0, g
+
+
+def _exp_cells(coeff: Callable[[int, int], Fraction], limits: list[int]) -> _Cells:
+    """Every cell of the exponential of ``_exp_factors``, for a series many
+    windows share: cell (i, j) is sum_k E0_k G(i-k, j), and (i, 0) is E0_i."""
+    e0, g = _exp_factors(coeff, limits)
+    return e0 | {
+        (i, j): _convolve_cell(g, e0, i, j)
+        for i, top in enumerate(limits)
+        for j in range(1, top + 1)
+    }
 
 
 def _staircase(windows: list[tuple[int, int]]) -> list[int]:
@@ -491,7 +505,7 @@ def kappa_exponential(c: CTable, windows: list[tuple[int, int]]) -> PolySeries:
     small for the windows raises ValueError before any product.
     """
     limits = _staircase(windows)
-    return PolySeries(limits, _exp_from_slices(lambda a, j: -c.get(a, j), limits))
+    return PolySeries(limits, _exp_cells(lambda a, j: -c.get(a, j), limits))
 
 
 class TautRelation(NamedTuple):
@@ -529,12 +543,7 @@ def _kappa_symbol(index: int, g: int, coeff: Fraction = _ONE) -> KappaPoly:
     return KappaPoly.gen(index, coeff=coeff)
 
 
-def _convolve_cell(
-    cells: dict[tuple[int, int], KappaPoly],
-    f2: dict[tuple[int, int], KappaPoly],
-    i: int,
-    j: int,
-) -> KappaPoly:
+def _convolve_cell(cells: _Cells, f2: _Cells, i: int, j: int) -> KappaPoly:
     """Coefficient (i, j) of the product of two series, each given by its
     cells, without forming the full product."""
     pairs = []
@@ -580,32 +589,43 @@ def _check_kernel_bounds(index: int, exponent: int) -> None:
         )
 
 
+def _second_factor(g: int, n: int, d: int, b: int, psi: bool, q: QTable) -> _Cells:
+    """The second factor's cells through (x^n, u^d), each one packed term:
+    lead - 2 sum_{a>=0} gen_a x^(a+1) sum_{j<=a} q[a][j] u^(j+1), with lead
+    kappa_{b-1} and gen_a kappa_{a+b} (b >= 1), or for psi lead 1 and gen_a
+    psi^(a+1).  relation_window bounds every index and exponent here."""
+    f2 = {(0, 0): _UNIT_POLY if psi else _kappa_symbol(b - 1, g)}
+    for a2 in range(n):
+        key = a2 + 1 if psi else 1 << (_FIELD_BITS * (a2 + b))
+        for j in range(min(a2, d - 1) + 1):
+            if qv := q.get(a2, j):
+                f2[(a2 + 1, j + 1)] = _poly({key: -2 * qv}, 1)
+    return f2
+
+
 def _extract(
     g: int, d: int, b: int, psi: bool, q: QTable, c: CTable, exp_series: PolySeries | None
 ) -> KappaPoly:
     """Cell (x^n, u^d) of the exponential, times the second factor unless b = 0.
 
-    The second factor is lead - 2 sum_{a>=0} gen_a x^(a+1) sum_{j<=a} q[a][j] u^(j+1)
-    with lead kappa_{b-1} and gen_a kappa_{a+b}, or for psi lead 1 and
-    gen_a psi^(a+1).
+    A shared ``exp_series`` is read at its cells.  Without one, the cell is
+    read from the factors as E0 (G F2): column d of G times the second
+    factor F2, then E0 times that column, so no other cell of the
+    exponential is formed.
     """
     n = relation_window(g, d, b, psi)
     if exp_series is None:
-        exp_series = kappa_exponential(c, [(n, d)])
+        e0, cells = _exp_factors(lambda a, j: -c.get(a, j), [d] * (n + 1))
     elif not exp_series.covers(n, d):
         raise ValueError(f"shared exponential does not cover the cell ({n}, {d})")
-    if b == 0 and not psi:
-        return exp_series.coeff(n, d)
-    f2 = {(0, 0): _UNIT_POLY if psi else _kappa_symbol(b - 1, g)}
-    for a2 in range(0, n):
-        for j in range(0, min(a2, d - 1) + 1):
-            qv = q.get(a2, j)
-            if not qv:
-                continue
-            coeff = Fraction(-2 * qv)
-            gen = KappaPoly.gen(0, a2 + 1, coeff) if psi else _kappa_symbol(a2 + b, g, coeff)
-            f2[(a2 + 1, j + 1)] = gen
-    return _convolve_cell(exp_series.cells, f2, n, d)
+    f2 = None if b == 0 and not psi else _second_factor(g, n, d, b, psi, q)
+    if exp_series is not None:
+        return exp_series.coeff(n, d) if f2 is None else _convolve_cell(exp_series.cells, f2, n, d)
+    if f2 is not None:
+        column = ((i, _convolve_cell(cells, f2, i, d)) for i in range(n + 1))
+        # as in G, only nonzero cells: no E0 row is multiplied by a zero cell
+        cells = {(i, d): p for i, p in column if not p.is_zero()}
+    return _convolve_cell(cells, e0, n, d)
 
 
 def extract_relation(
@@ -647,7 +667,7 @@ def ode_exponential(alpha: BiSeries, windows: list[tuple[int, int]]) -> PolySeri
     n_x, n_w = alpha.orders
     if n_x < len(limits) or n_w < limits[0]:
         raise ValueError(f"alpha table sized {alpha.orders}, need ({len(limits)}, {limits[0]})")
-    return PolySeries(limits, _exp_from_slices(lambda m, j: alpha.coeff(m + 1, j), limits))
+    return PolySeries(limits, _exp_cells(lambda m, j: alpha.coeff(m + 1, j), limits))
 
 
 def ode_genus_exponential(
@@ -738,7 +758,7 @@ def extract_diagonal_relation(g: int, b: int, a: int, c: CTable) -> DiagonalRela
             raise ValueError(
                 f"inadmissible (g={g}, b={b}, a={a}): need a = (g-1)/3+b or (g+1)/3+b"
             )
-    e = _exp_from_slices(lambda m, _: -c.get(m, m), [0] * (a + 1))
+    e, _ = _exp_factors(lambda m, _: -c.get(m, m), [0] * (a + 1))
     if b == 0:
         poly = e.get((a, 0), KappaPoly())
     else:

@@ -98,6 +98,23 @@ def oracle_extract(g, d, b, q, c, general=False):
     return {m: v for m, v in total.items() if v}
 
 
+def oracle_psi_extract(g, d, q, c):
+    """Monomial map of the pointed-curve (psi) relation of (g, d): the
+    (x^n, u^d) coefficient, n = g+2-2d, of the exponential times
+    1 - 2 sum_a psi^(a+1) x^(a+1) sum_j q[a][j] u^(j+1).  Psi is index 0."""
+    A = g + 2 - 2 * d
+    total = dict(oracle_exp_cell(c, A, d))
+    for a2 in range(0, A):
+        for j in range(0, min(a2, d - 1) + 1):
+            qv = q.get(a2, j)
+            if not qv:
+                continue
+            for mono, v in oracle_exp_cell(c, A - a2 - 1, d - j - 1).items():
+                m2 = ((0, a2 + 1),) + mono
+                total[m2] = total.get(m2, Fraction(0)) + v * Fraction(-2 * qv)
+    return {m: v for m, v in total.items() if v}
+
+
 def oracle_diagonal(g, b, a, c):
     """Monomial map of the diagonal relation: the t^a coefficient of
     exp(-sum_j c[j][j] kappa_j t^j), times for b >= 1 the factor

@@ -1,4 +1,6 @@
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -377,3 +379,22 @@ def test_closed_stdout_exits_1_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+def test_relation_ops_match_the_benchmark_references(capsys):
+    # every relation and psi op of the benchmark domains with g <= 20, run
+    # in-process: stdout sha256 and exit code as recorded in bench/refs.json
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    spec = importlib.util.spec_from_file_location("bench_ops", bench / "ops.py")
+    ops = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ops)
+    refs = json.loads((bench / "refs.json").read_text())
+    checked = 0
+    for op in ops.relation_domain() + ops.psi_domain():
+        if int(op[op.index("--g") + 1]) > 20:
+            continue
+        code, out = run(capsys, *op[1:])
+        ref = refs[" ".join(op)]
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (ref["rc"], ref["sha256"]), op
+        checked += 1
+    assert checked == 140

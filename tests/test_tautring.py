@@ -30,7 +30,7 @@ from tautrel.tautring import (
     ode_genus_exponential,
 )
 
-from oracles import oracle_diagonal, oracle_extract, ref_staircase
+from oracles import oracle_diagonal, oracle_extract, oracle_psi_extract, ref_staircase
 
 
 def poly_of(terms):
@@ -263,6 +263,40 @@ def test_psi_relation_values(q20, c20):
     assert r.poly.coeff(((0, 4),)) == -2 * q20.get(3, 1)
 
 
+def test_psi_relation_matches_bruteforce_oracle(q20, c20):
+    cells = 0
+    for g in range(2, 13):
+        for d in range(2, (g + 2) // 2 + 1):
+            r = extract_psi_relation(g, d, q20, c20)
+            assert r.poly.terms == oracle_psi_extract(g, d, q20, c20), (g, d)
+            cells += 1
+    assert cells == 36
+
+
+def test_one_window_read_equals_the_shared_read(q20, c20):
+    # without a shared series a relation is read from E0 (G F2) alone; with
+    # one, from the staircase cells sum_k E0_k G(i-k, j)
+    windows = {}
+    for g in range(2, 17):
+        for d in range(2, (g + 2) // 2 + 1):
+            for b in range(5):
+                try:
+                    windows[(g, d, b, False)] = relation_window(g, d, b)
+                except ValueError:
+                    pass
+            windows[(g, d, 0, True)] = relation_window(g, d, psi=True)
+    shared = kappa_exponential(c20, [(n, key[1]) for key, n in windows.items()])
+    nonzero = 0
+    for g, d, b, psi in windows:
+        if psi:
+            one, both = (extract_psi_relation(g, d, q20, c20, e) for e in (None, shared))
+        else:
+            one, both = (extract_relation(g, d, b, q20, c20, e) for e in (None, shared))
+        assert one == both, (g, d, b, psi)
+        nonzero += not one.poly.is_zero()
+    assert nonzero > 200
+
+
 def test_psi_relation_range_error(q20, c20):
     with pytest.raises(ValueError):
         extract_psi_relation(4, 4, q20, c20)
@@ -436,25 +470,32 @@ def _kappa_1_only_tables(n):
 )
 def test_largest_window_the_kernel_multiplies(monkeypatch, b, psi, last):
     # relation_window refuses a window n past `last`; with its bound lifted
-    # by one, the kernel itself shows that `last` runs and `last + 1` overflows
+    # by one, the kernel itself shows that, through an exponential that
+    # covers the window, `last` runs and `last + 1` overflows.  The
+    # one-window read multiplies no cell by the second factor, so only the
+    # shared read meets the bound for b >= 1 and psi.
     q, c = _kappa_1_only_tables(last + 1)
     d = 2
     for n in (last, last + 1):
         g = n + 2 * d - (1 if b == 0 and not psi else 2)
 
-        def run():
-            return extract_psi_relation(g, d, q, c) if psi else extract_relation(g, d, b, q, c)
+        def run(exp_series):
+            if psi:
+                return extract_psi_relation(g, d, q, c, exp_series)
+            return extract_relation(g, d, b, q, c, exp_series)
 
         if n == last:
             assert relation_window(g, d, b, psi) == n
-            assert not run().poly.is_zero()
+            shared = run(kappa_exponential(c, [(n, d)]))
+            assert not shared.poly.is_zero()
+            assert run(None) == shared
         else:
             with pytest.raises(ValueError, match="in a product operand outside"):
                 relation_window(g, d, b, psi)
             monkeypatch.setattr(tautring, "MAX_OPERAND_EXPONENT", MAX_OPERAND_EXPONENT + 1)
             assert relation_window(g, d, b, psi) == n
             with pytest.raises(OverflowError):
-                run()
+                run(kappa_exponential(c, [(n, d)]))
 
 
 @pytest.mark.parametrize(
