@@ -184,7 +184,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
+    # exact values print and parse whole: lift the int<->str digit cap for this call
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     try:
+        if cap is not None:
+            sys.set_int_max_str_digits(0)
         code = args.func(args)
         sys.stdout.flush()
     except BrokenPipeError:
@@ -194,6 +198,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
     return code
 
 

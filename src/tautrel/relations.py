@@ -13,11 +13,13 @@ nonzero for every a up to 60.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import count, islice
+from math import lcm, prod
 from typing import NamedTuple
 
 from .tables import CTable, QTable
 from .tautring import (
+    _FIELD_BITS,
     KappaPoly,
     _check_kernel_bounds,
     extract_relation,
@@ -46,7 +48,8 @@ __all__ = [
 
 class FaberConsistencyError(RuntimeError):
     """One of faber_solve's three checks failed: a zero leading coefficient,
-    a high generator left by the reduction, or a nonzero back-substitution."""
+    a high generator left by the reduction, or a relation that does not
+    vanish at the check point."""
 
 
 class FaberChoice(NamedTuple):
@@ -106,16 +109,17 @@ def faber_solve(
     """Express every kappa_a, floor(g/3) < a <= g-2, in lower classes.
 
     With rewrite=True each right-hand side is fully reduced to
-    kappa_1..kappa_{floor(g/3)} by back-substitution, and the reduced
-    map is substituted into each source relation to confirm it vanishes
-    exactly.  A zero leading coefficient is a fatal consistency failure,
-    not a legal outcome.
+    kappa_1..kappa_{floor(g/3)} by back-substitution.  A zero leading
+    coefficient is a fatal consistency failure, not a legal outcome.
 
-    The back-substitution checks the solve step: a wrong leading
-    coefficient fails it.  It does not check the relation itself, since
-    it holds by the linearity of ``substitute`` whatever the relation's
-    other terms are, so a wrong q or c entry changes the expressions and
-    still passes.
+    Each reduction is checked by exact evaluation at one integer point,
+    kappa_i = the i-th prime for i <= floor(g/3) and each solved kappa_h =
+    its reduced form there, where the source relation must vanish.  The
+    check reads the packed terms, not ``substitute``, so a wrong leading
+    coefficient or a fault in the reduction fails it.  It is a necessary
+    condition only: an error that vanishes at the point passes, and so
+    does a wrong q or c entry, which changes the relation the reduction
+    follows.
     """
     if g < 2:
         raise ValueError("need g >= 2")
@@ -125,9 +129,12 @@ def faber_solve(
         return []
     choices = [faber_choose(g, a) for a in targets]
     shared = kappa_exponential(c, [(relation_window(g, ch.d, ch.b), ch.d) for ch in choices])
+    # the check point: kappa_1..kappa_m at the primes, then each solved value
+    primes = (p for p in count(2) if all(p % i for i in range(2, p)))
+    point: list[int | Fraction] = [0, *islice(primes, m)]
+    low_values: dict[int, int] = {}
 
     reduced: dict[int, KappaPoly] = {}
-    power_cache: dict = {}
     out: list[GeneratorExpression] = []
     for ch in choices:
         rel = extract_relation(g, ch.d, ch.b, q, c, exp_series=shared)
@@ -137,20 +144,40 @@ def faber_solve(
                 f"zero leading coefficient at (g={g}, a={ch.a}, d={ch.d}, b={ch.b})"
             )
         raw = rel.poly.without_gen(ch.a).scale(Fraction(-1) / lam)
-        red = raw.substitute(reduced, _power_cache=power_cache)
+        red = raw.substitute(reduced)
         if red.max_gen() > m:
             raise FaberConsistencyError(
                 f"reduction left a high generator at (g={g}, a={ch.a})"
             )
-        full = dict(reduced)
-        full[ch.a] = red
-        if not rel.poly.substitute(full, _power_cache=power_cache).is_zero():
+        point.append(_value_at(red, point, m, low_values))
+        if value := _value_at(rel.poly, point, m, low_values):
             raise FaberConsistencyError(
-                f"back-substitution nonzero at (g={g}, a={ch.a}, d={ch.d}, b={ch.b})"
+                f"relation nonzero at the check point (g={g}, a={ch.a}, d={ch.d}, b={ch.b}):"
+                f" {value}"
             )
         reduced[ch.a] = red
         out.append(GeneratorExpression(g=g, a=ch.a, rhs=red if rewrite else raw))
     return out
+
+
+def _value_at(poly: KappaPoly, point: list, m: int, low_values: dict[int, int]) -> Fraction:
+    """poly at kappa_i = point[i], from its packed terms.  The terms are
+    grouped by their part in the generators past kappa_m, so the rest is
+    summed over integers and each group meets a rational value once;
+    ``low_values`` keeps the value of each monomial in kappa_1..kappa_m."""
+    low_point, high_point = point[1 : m + 1], point[m + 1 :]
+    cut = _FIELD_BITS * (m + 1)
+    groups: dict[int, int] = {}
+    for key, n in poly._num.items():
+        low = key & ((1 << cut) - 1)
+        if (v := low_values.get(low)) is None:
+            v = low_values[low] = prod(map(pow, low_point, low.to_bytes(m + 1, "little")[1:]))
+        groups[key >> cut] = groups.get(key >> cut, 0) + n * v
+    total = sum(
+        n * prod(x**e for x, e in zip(high_point, k.to_bytes(len(high_point), "little")) if e)
+        for k, n in groups.items()
+    )
+    return Fraction(total, poly._den)
 
 
 # The scan recomputes the b = 1 coefficient by full extraction for a <= this.

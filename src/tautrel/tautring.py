@@ -267,37 +267,18 @@ class KappaPoly:
             raise ValueError(f"inhomogeneous polynomial, degrees {sorted(degs)}")
         return degs.pop()
 
-    def substitute(
-        self,
-        mapping: dict[int, "KappaPoly"],
-        _power_cache: dict[int, "KappaPoly"] | None = None,
-    ) -> "KappaPoly":
+    def substitute(self, mapping: dict[int, "KappaPoly"]) -> "KappaPoly":
         """Replace each mapped generator by its polynomial, exactly.
 
-        Unmapped generators pass through.  Terms are grouped by their
-        mapped part, and the product of substituted powers for each
-        group is cached across calls when a shared cache dict is
-        supplied; that cache is only valid for one fixed mapping per
-        generator.
+        Unmapped generators pass through.  The terms are peeled by their
+        highest mapped generator h, as K0 + sum_h S_h mapping[h] with S_h
+        their quotient by kappa_h, itself substituted the same way: Horner's
+        rule in several variables (Carnicer and Gasca, Math. Comp. 1990).
         """
-        cache = _power_cache if _power_cache is not None else {}
         mask = 0
         for idx in mapping:
             mask |= _EXP_MAX << (_FIELD_BITS * idx)
-        groups: dict[int, dict[int, int]] = {}
-        for k, n in self._num.items():
-            mapped = k & mask
-            kept = groups.get(mapped)
-            if kept is None:
-                groups[mapped] = {k - mapped: n}
-            else:
-                kept[k - mapped] = n
-        return _sum_of_products(
-            [
-                (_poly(kept, self._den), _power_product(mapped, mapping, cache), 1)
-                for mapped, kept in groups.items()
-            ]
-        )
+        return _peel(self._num, self._den, mapping, mask)
 
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
         """Terms in canonical order (see ``_canonical_keys``)."""
@@ -362,28 +343,22 @@ def _sum_of_products(
     return _poly(acc, den * div)
 
 
-def _power_product(
-    mapped: int, mapping: dict[int, KappaPoly], cache: dict[int, KappaPoly]
-) -> KappaPoly:
-    """Product of mapping[idx]**e over the fields of a packed monomial, cached."""
-    if not mapped:
-        return _UNIT_POLY
-    f = cache.get(mapped)
-    if f is None:
-        top = (mapped.bit_length() - 1) // _FIELD_BITS
-        shift = _FIELD_BITS * top
-        e = mapped >> shift
-        rest = mapped - (e << shift)
-        if rest:
-            f = _power_product(rest, mapping, cache) * _power_product(
-                e << shift, mapping, cache
-            )
-        elif e == 1:
-            f = mapping[top]
+def _peel(num: dict[int, int], den: int, mapping: dict[int, KappaPoly], mask: int) -> KappaPoly:
+    """num/den with every generator in the packed ``mask`` replaced by its
+    mapping: the terms free of them, plus mapping[h] times the substituted
+    quotient by kappa_h of the terms whose highest such generator is h."""
+    free: dict[int, int] = {}
+    quotients: dict[int, dict[int, int]] = {}
+    for k, n in num.items():
+        if mapped := k & mask:
+            h = (mapped.bit_length() - 1) // _FIELD_BITS
+            quotients.setdefault(h, {})[k - (1 << (_FIELD_BITS * h))] = n
         else:
-            f = _power_product((e - 1) << shift, mapping, cache) * mapping[top]
-        cache[mapped] = f
-    return f
+            free[k] = n
+    pairs = [(_poly(free, den), _UNIT_POLY, 1)]
+    for h, quotient in quotients.items():
+        pairs.append((_peel(quotient, den, mapping, mask), mapping[h], 1))
+    return _sum_of_products(pairs)
 
 
 def terms_json(poly: KappaPoly) -> str:

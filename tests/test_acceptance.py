@@ -125,7 +125,7 @@ def test_criterion_8_faber_procedure(q60, c60):
     t0 = time.time()
     for g in range(2, 25):
         m = g // 3
-        exprs = faber_solve(g, q60, c60)  # validates back-substitution internally
+        exprs = faber_solve(g, q60, c60)  # checks each reduction at its point internally
         assert [e.a for e in exprs] == list(range(m + 1, g - 1))
         for e in exprs:
             assert e.rhs.max_gen() <= m, (g, e.a)

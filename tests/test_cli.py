@@ -193,10 +193,11 @@ def test_relation_out_of_range(capsys):
     assert code == 2 and "outside 0..1023" in capsys.readouterr().err
 
 
-def _fresh_cli(argv):
-    """``python -m tautrel.cli`` in a fresh process, so a request that is not
-    refused fails at the timeout instead of running on."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+def _fresh_cli(argv, **env):
+    """``python -m tautrel.cli`` in a fresh process, with ``env`` added to the
+    environment, so a request that is not refused fails at the timeout
+    instead of running on."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), **env)
     return subprocess.run(
         [sys.executable, "-m", "tautrel.cli", *argv],
         capture_output=True,
@@ -264,6 +265,43 @@ def test_operand_exponent_guard_boundary(capsys, monkeypatch):
     assert main(["relation", "--g", "8", "--d", "2", "--psi"]) == 2  # n = 6
     assert main(["faber", "--g", "7"]) == 0  # solves up to kappa_5
     assert main(["faber", "--g", "8"]) == 2  # kappa_6 holds kappa_1^6
+
+
+# the numerator of p[200] has 789 digits, past the least int<->str digit
+# cap Python allows
+_PAST_THE_CAP = ["coeffs", "--table", "p", "--max-k", "200"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_coeffs_print_whole_past_the_digit_cap(fmt):
+    argv = [*_PAST_THE_CAP, "--format", fmt]
+    capped = _fresh_cli(argv, PYTHONINTMAXSTRDIGITS="640")
+    lifted = _fresh_cli(argv, PYTHONINTMAXSTRDIGITS="0")
+    assert (capped.returncode, capped.stderr) == (0, "")
+    assert lifted.returncode == 0 and capped.stdout == lifted.stdout
+
+
+def test_cache_round_trip_past_the_digit_cap(tmp_path):
+    argv = [*_PAST_THE_CAP, "--format", "csv"]
+    lifted = _fresh_cli(argv, PYTHONINTMAXSTRDIGITS="0")
+    cached = [*argv, "--cache-dir", str(tmp_path)]
+    cold = _fresh_cli(cached, PYTHONINTMAXSTRDIGITS="640")
+    warm = _fresh_cli(cached, PYTHONINTMAXSTRDIGITS="640")
+    assert [p.name for p in tmp_path.iterdir()] == ["p-200.csv"]
+    for proc in (cold, warm):
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, lifted.stdout, "")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit cap")
+def test_digit_cap_is_lifted_for_the_call_only(capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out = run(capsys, *_PAST_THE_CAP)
+        assert code == 0 and len(json.loads(out)["entries"][-1][1]) > 640
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_faber_outputs(capsys):
@@ -398,3 +436,17 @@ def test_relation_ops_match_the_benchmark_references(capsys):
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (ref["rc"], ref["sha256"]), op
         checked += 1
     assert checked == 140
+
+
+@pytest.mark.parametrize(
+    "g, sha256",
+    [
+        (24, "b5c50e650cc6d07f8f89d1e90da1718170ea285f60c1c743df1c3693711ccd91"),
+        (27, "0c89a2285e7c2eec596168aede76ca4a3224e58d507a9100ee6f958a333b3f4f"),
+    ],
+)
+def test_faber_bytes_past_the_benchmark_genera(capsys, g, sha256):
+    # bench/refs.json pins faber through g = 23 only; these digests come
+    # from the cached-power substitute, before the peel
+    code, out = run(capsys, "faber", "--g", str(g), "--rewrite")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, sha256)

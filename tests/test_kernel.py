@@ -35,7 +35,7 @@ monos = st.dictionaries(
 ).map(lambda d: tuple(sorted(d.items())))
 ref_polys = st.dictionaries(monos, fractions, max_size=6).map(ref_clean)
 mappings = st.dictionaries(
-    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=6),  # psi, index 0, may be mapped too
     st.dictionaries(monos, fractions, max_size=3).map(ref_clean),
     max_size=3,
 )
@@ -68,16 +68,6 @@ def test_scale_matches_reference(p, r):
 def test_substitute_matches_reference(p, mapping):
     got = KappaPoly(p).substitute({idx: KappaPoly(v) for idx, v in mapping.items()})
     assert got.terms == ref_substitute(p, mapping)
-
-
-@SETTINGS
-@given(ref_polys, mappings)
-def test_shared_power_cache_matches_fresh(p, mapping):
-    kmap = {idx: KappaPoly(v) for idx, v in mapping.items()}
-    cache = {}
-    first = KappaPoly(p).substitute(kmap, _power_cache=cache)
-    again = KappaPoly(p).substitute(kmap, _power_cache=cache)
-    assert first == again == KappaPoly(p).substitute(kmap)
 
 
 @SETTINGS

@@ -225,7 +225,9 @@ def test_rank_exact_matches_structured_case():
 _FABER_FAULTS = {
     "zero leading coefficient": ("gen_coeff", lambda orig: lambda self, i: F(0)),
     "reduction left a high generator": ("without_gen", lambda orig: lambda self, i: self),
-    "back-substitution nonzero": ("gen_coeff", lambda orig: lambda self, i: 2 * orig(self, i)),
+    "relation nonzero at the check point": (
+        "gen_coeff", lambda orig: lambda self, i: 2 * orig(self, i)
+    ),
 }
 
 
@@ -234,6 +236,21 @@ def test_faber_solve_raises_on_each_fault(q20, c20, monkeypatch, message):
     name, fault = _FABER_FAULTS[message]
     monkeypatch.setattr(KappaPoly, name, fault(getattr(KappaPoly, name)))
     with pytest.raises(FaberConsistencyError, match=message):
+        faber_solve(12, q20, c20)
+
+
+def test_faber_solve_sees_a_fault_substitute_repeats(q20, c20, monkeypatch):
+    # substitute drops every kappa_1^e term, e >= 6, each time it runs, so a
+    # second reduction through it would repeat the fault and agree; the
+    # point check evaluates the relation without substitute
+    orig = KappaPoly.substitute
+
+    def dropping(self, mapping):
+        terms = orig(self, mapping).terms.items()
+        return KappaPoly({m: v for m, v in terms if len(m) != 1 or m[0][0] != 1 or m[0][1] < 6})
+
+    monkeypatch.setattr(KappaPoly, "substitute", dropping)
+    with pytest.raises(FaberConsistencyError, match=r"check point \(g=12, a=6, d=4, b=1\): "):
         faber_solve(12, q20, c20)
 
 
@@ -272,8 +289,9 @@ def test_faber_expressions_pair_to_zero(q20, c20):
 
 
 def test_faber_solve_passes_a_wrong_c_entry_the_pairing_sees(q20, c20):
-    # A known gap: faber_solve's back-substitution holds by linearity, so a
-    # wrong c entry changes every expression and raises nothing.
+    # A known gap: faber_solve's point check tests the reduction against the
+    # relation it solves, so a wrong c entry, which changes the relation and
+    # every expression with it, raises nothing.  Faber's socle pairing sees it.
     rows = [list(r) for r in c20.rows]
     rows[1][1] += F(1, 1000)  # c[2][1]
     wrong = CTable(c20.k_max, tuple(tuple(r) for r in rows))
