@@ -43,9 +43,10 @@ _EXPORTS = {
             "extract_psi_relation",
             "extract_relation",
             "extract_relation_from_ode",
+            "extract_relations",
+            "extract_relations_from_ode",
             "kappa_exponential",
             "ode_exponential",
-            "ode_genus_exponential",
             "relation_json",
             "relation_window",
             "terms_json",

@@ -22,11 +22,8 @@ from .tautring import (
     _FIELD_BITS,
     KappaPoly,
     _check_kernel_bounds,
-    extract_relation,
-    extract_relation_from_ode,
-    kappa_exponential,
-    ode_exponential,
-    ode_genus_exponential,
+    extract_relations,
+    extract_relations_from_ode,
     relation_window,
 )
 
@@ -128,7 +125,7 @@ def faber_solve(
     if not targets:
         return []
     choices = [faber_choose(g, a) for a in targets]
-    shared = kappa_exponential(c, [(relation_window(g, ch.d, ch.b), ch.d) for ch in choices])
+    rels = extract_relations([(g, ch.d, ch.b) for ch in choices], q, c)
     # the check point: kappa_1..kappa_m at the primes, then each solved value
     primes = (p for p in count(2) if all(p % i for i in range(2, p)))
     point: list[int | Fraction] = [0, *islice(primes, m)]
@@ -136,8 +133,7 @@ def faber_solve(
 
     reduced: dict[int, KappaPoly] = {}
     out: list[GeneratorExpression] = []
-    for ch in choices:
-        rel = extract_relation(g, ch.d, ch.b, q, c, exp_series=shared)
+    for ch, rel in zip(choices, rels):
         lam = rel.poly.gen_coeff(ch.a)
         if lam == 0:
             raise FaberConsistencyError(
@@ -213,12 +209,8 @@ def scan_nonvanishing(a_max: int, q: QTable, c: CTable) -> ScanReport:
     mismatches: list[dict] = []
     # the b = 1 relation of each sampled (a, d), in genus a+2d-2
     lim = min(_SAMPLE_MAX, a_max)
-    windows = [
-        (relation_window(a + 2 * d - 2, d, 1), d)
-        for a in range(2, lim + 1)
-        for d in range(2, a + 1)
-    ]
-    shared = kappa_exponential(c, windows) if windows else None
+    cells = [(a + 2 * d - 2, d, 1) for a in range(2, lim + 1) for d in range(2, a + 1)]
+    sampled = {(r.g, r.d): r for r in extract_relations(cells, q, c)}
     for a in range(1, a_max + 1):
         for d in range(1, a + 1):
             cad = c.get(a, d)
@@ -242,8 +234,7 @@ def scan_nonvanishing(a_max: int, q: QTable, c: CTable) -> ScanReport:
                         "remark_formula": str(remark),
                     }
                 )
-            if a <= _SAMPLE_MAX and d >= 2:
-                rel = extract_relation(g1, d, 1, q, c, exp_series=shared)
+            if (rel := sampled.get((g1, d))) is not None:
                 checked += 1
                 if rel.poly.gen_coeff(a) != -coef_b1:
                     failures.append(
@@ -315,21 +306,10 @@ def independence_report(g: int, a: int, q: QTable, c: CTable) -> IndependenceRep
     """
     if g < 2 or a < 1:
         raise ValueError("need g >= 2 and a >= 1")
-    cells = [
-        (d, b, relation_window(g, d, b))
-        for d in range(2, (g + 2) // 2 + 1)
-        if (b := a + 2 * d - g - 1) >= 0
-    ]
-    pairs: list[dict] = []
-    polys: list[KappaPoly] = []
-    if cells:
-        shared = kappa_exponential(c, [(x, d) for d, _, x in cells])
-        for d, b, _ in cells:
-            poly = extract_relation(g, d, b, q, c, exp_series=shared).poly
-            nonzero = not poly.is_zero()
-            pairs.append({"d": d, "b": b, "nonzero": nonzero})
-            if nonzero:
-                polys.append(poly)
+    cells = [(g, d, b) for d in range(2, (g + 2) // 2 + 1) if (b := a + 2 * d - g - 1) >= 0]
+    rels = extract_relations(cells, q, c)
+    pairs = [{"d": r.d, "b": r.b, "nonzero": not r.poly.is_zero()} for r in rels]
+    polys = [r.poly for r in rels if not r.poly.is_zero()]
     basis = sorted({mono for p in polys for mono in p.terms})
     rank = rank_exact([[p.coeff(mono) for mono in basis] for p in polys])
     return IndependenceReport(g, a, pairs, len(polys), rank)
@@ -355,10 +335,9 @@ def cross_pipeline_check(q: QTable, c: CTable, order: int) -> tuple[str, list[st
     """Compare the exponential and ODE extraction pipelines cell by cell.
 
     Every cell of ``cross_pipeline_cells(min(order, 14))`` (238 at the cap)
-    is extracted both ways.  Each route builds one exponential on the
-    staircase of every cell, the ODE one from one alpha table and then
-    times its genus factor once per genus; the ODE relation must equal
-    (-1)^d times the exponential one.
+    is extracted both ways, each route as one batch, the ODE one from one
+    alpha table; the ODE relation must equal (-1)^d times the exponential
+    one.
     Needs order >= 2, where the first cells appear.  Returns a summary and
     the first mismatch as a one-item list, or [] when every cell agrees.
     """
@@ -366,20 +345,11 @@ def cross_pipeline_check(q: QTable, c: CTable, order: int) -> tuple[str, list[st
         raise ValueError("need order >= 2")
     from .coeffs import solve_series_ode
 
-    cells = cross_pipeline_cells(min(order, 14))
-    windows = [(n, d) for _, d, _, n in cells]
-    shared = kappa_exponential(c, windows)
-    alpha = solve_series_ode(max(n for n, _ in windows) + 1, max(d for _, d in windows))
-    ode_base = ode_exponential(alpha, windows)
-    by_genus: dict[int, list[tuple[int, int, int]]] = {}
-    for g, d, b, n in cells:
-        by_genus.setdefault(g, []).append((d, b, n))
+    grid = cross_pipeline_cells(min(order, 14))
+    alpha = solve_series_ode(max(n for *_, n in grid) + 1, max(d for _, d, _, _ in grid))
+    cells = [(g, d, b) for g, d, b, _ in grid]
     summary = "both extraction pipelines proportional"
-    for g, group in by_genus.items():
-        ode_series = ode_genus_exponential(ode_base, alpha, g, [(n, d) for d, _, n in group])
-        for d, b, _ in group:
-            r1 = extract_relation(g, d, b, q, c, exp_series=shared)
-            r2 = extract_relation_from_ode(g, d, b, alpha, ode_series=ode_series)
-            if r2.poly != r1.poly.scale((-1) ** d):
-                return summary, [f"(g={g}, d={d}, b={b}) pipelines disagree"]
+    for r1, r2 in zip(extract_relations(cells, q, c), extract_relations_from_ode(cells, alpha)):
+        if r2.poly != r1.poly.scale((-1) ** r1.d):
+            return summary, [f"(g={r1.g}, d={r1.d}, b={r1.b}) pipelines disagree"]
     return summary, []

@@ -30,11 +30,11 @@ homogeneous in this grading.
 An exponential exp(sum_m v1^m kappa_m sum_j coeff(m, j) v2^j) is built as
 two factors, E0(v1) G(v1, v2): E0 is the exponential of the v2^0 slice, G
 that of the rest, which stops at the largest v2 power read and stays small.
-A relation read on its own (``extract_relation`` or ``extract_psi_relation``
-with no shared series) is the one cell of E0 (G F2), F2 its second factor,
-and no other cell is formed.  A series that many reads share
-(``kappa_exponential``, the ODE and diagonal routes) keeps its cells, each
-sum_k E0_k G(i-k, j).
+A relation is one cell of the exponential times its second factor F2
+(F2 = 1 for b = 0).  Read alone (``extract_relation``, the psi and
+diagonal routes) it is that cell of E0 (G F2), and no other is formed.
+A batch (``extract_relations``, ``extract_relations_from_ode``) keeps the
+cells sum_k E0_k G(i-k, j) of one exponential on its windows' staircase.
 """
 
 from __future__ import annotations
@@ -62,11 +62,12 @@ __all__ = [
     "kappa_exponential",
     "relation_window",
     "extract_relation",
+    "extract_relations",
     "extract_psi_relation",
     "extract_relation_from_ode",
+    "extract_relations_from_ode",
     "extract_diagonal_relation",
     "ode_exponential",
-    "ode_genus_exponential",
     "relation_json",
     "terms_json",
 ]
@@ -379,31 +380,16 @@ def terms_json(poly: KappaPoly) -> str:
     return f"[{','.join(parts)}]"
 
 
-class PolySeries:
+class PolySeries(NamedTuple):
     """Bivariate truncated series whose coefficients are KappaPoly values.
 
     Row i of the first variable holds the cells j <= limits[i] of the
     second; the limits never increase with i (a staircase, of which the
-    rectangle is the constant case).  ``genus`` is set on a series whose
-    cells depend on the genus (the ODE route's, once its a = 1 factor is
-    applied); None means the series serves every genus.  Zero cells are
-    not stored.
+    rectangle is the constant case).  Zero cells are not stored.
     """
 
-    __slots__ = ("limits", "cells", "genus")
-
-    def __init__(self, limits: list[int], cells: _Cells, genus: int | None = None):
-        self.limits = tuple(limits)
-        self.cells = {k: p for k, p in cells.items() if not p.is_zero()}
-        self.genus = genus
-
-    def coeff(self, i: int, j: int) -> KappaPoly:
-        if not self.covers(i, j):
-            raise ValueError(f"cell ({i}, {j}) outside the row limits {self.limits}")
-        return self.cells.get((i, j), KappaPoly())
-
-    def covers(self, i: int, j: int) -> bool:
-        return 0 <= i < len(self.limits) and 0 <= j <= self.limits[i]
+    limits: tuple[int, ...]
+    cells: _Cells
 
 
 def _exp_factors(coeff: Callable[[int, int], Fraction], limits: list[int]) -> tuple[_Cells, _Cells]:
@@ -442,14 +428,15 @@ def _exp_factors(coeff: Callable[[int, int], Fraction], limits: list[int]) -> tu
 
 
 def _exp_cells(coeff: Callable[[int, int], Fraction], limits: list[int]) -> _Cells:
-    """Every cell of the exponential of ``_exp_factors``, for a series many
-    windows share: cell (i, j) is sum_k E0_k G(i-k, j), and (i, 0) is E0_i."""
+    """Every nonzero cell of the exponential of ``_exp_factors``, for a batch
+    of reads: cell (i, j) is sum_k E0_k G(i-k, j), and (i, 0) is E0_i."""
     e0, g = _exp_factors(coeff, limits)
-    return e0 | {
+    cells = e0 | {
         (i, j): _convolve_cell(g, e0, i, j)
         for i, top in enumerate(limits)
         for j in range(1, top + 1)
     }
+    return {k: p for k, p in cells.items() if not p.is_zero()}
 
 
 def _staircase(windows: list[tuple[int, int]]) -> list[int]:
@@ -480,7 +467,7 @@ def kappa_exponential(c: CTable, windows: list[tuple[int, int]]) -> PolySeries:
     small for the windows raises ValueError before any product.
     """
     limits = _staircase(windows)
-    return PolySeries(limits, _exp_cells(lambda a, j: -c.get(a, j), limits))
+    return PolySeries(tuple(limits), _exp_cells(lambda a, j: -c.get(a, j), limits))
 
 
 class TautRelation(NamedTuple):
@@ -518,9 +505,17 @@ def _kappa_symbol(index: int, g: int, coeff: Fraction = _ONE) -> KappaPoly:
     return KappaPoly.gen(index, coeff=coeff)
 
 
+# The second factor of every b = 0 read: F2 = 1.
+_UNIT_FACTOR: _Cells = {(0, 0): _UNIT_POLY}
+
+
 def _convolve_cell(cells: _Cells, f2: _Cells, i: int, j: int) -> KappaPoly:
     """Coefficient (i, j) of the product of two series, each given by its
-    cells, without forming the full product."""
+    cells, without forming the full product.  Times F2 = 1 it is the cell
+    itself, with no kernel product: a batch cell (x^n, u^d) holds kappa_1^n,
+    past the operand relation_window bounds for b = 0."""
+    if f2 is _UNIT_FACTOR:
+        return cells.get((i, j), KappaPoly())
     pairs = []
     for (i2, j2), p in f2.items():
         if i2 > i or j2 > j:
@@ -529,6 +524,16 @@ def _convolve_cell(cells: _Cells, f2: _Cells, i: int, j: int) -> KappaPoly:
         if cell is not None:
             pairs.append((cell, p, 1))
     return _sum_of_products(pairs)
+
+
+def _one_window(coeff: Callable[[int, int], Fraction], f2: _Cells, n: int, d: int) -> KappaPoly:
+    """Cell (n, d) of the exponential of ``_exp_factors`` times F2, read from
+    its factors as E0 (G F2): column d of G times F2, then E0 times that
+    column, so no other cell of the exponential is formed."""
+    e0, g = _exp_factors(coeff, [d] * (n + 1))
+    column = ((i, _convolve_cell(g, f2, i, d)) for i in range(n + 1))
+    # as in G, only nonzero cells: no E0 row is multiplied by a zero cell
+    return _convolve_cell({(i, d): p for i, p in column if not p.is_zero()}, e0, n, d)
 
 
 def relation_window(g: int, d: int, b: int = 0, psi: bool = False) -> int:
@@ -541,7 +546,8 @@ def relation_window(g: int, d: int, b: int = 0, psi: bool = False) -> int:
     index past MAX_INDEX (none exceeds the relation's degree, g+1+b-2d or
     n for psi), or a product operand past MAX_OPERAND_EXPONENT.  That
     operand is kappa_1^(n-1) in the exponential's recurrence for b = 0,
-    and with a second factor the cell itself, kappa_1^n or psi^n.
+    for b >= 1 the cell, holding kappa_1^n, that a batch read multiplies by
+    the second factor, and for psi the second factor's psi^n entry.
     """
     if g < 2 or d < 2 or b < 0:
         raise ValueError("need g >= 2, d >= 2, b >= 0")
@@ -567,8 +573,11 @@ def _check_kernel_bounds(index: int, exponent: int) -> None:
 def _second_factor(g: int, n: int, d: int, b: int, psi: bool, q: QTable) -> _Cells:
     """The second factor's cells through (x^n, u^d), each one packed term:
     lead - 2 sum_{a>=0} gen_a x^(a+1) sum_{j<=a} q[a][j] u^(j+1), with lead
-    kappa_{b-1} and gen_a kappa_{a+b} (b >= 1), or for psi lead 1 and gen_a
-    psi^(a+1).  relation_window bounds every index and exponent here."""
+    kappa_{b-1} and gen_a kappa_{a+b} (b >= 1), for psi lead 1 and gen_a
+    psi^(a+1), and 1 for b = 0.  relation_window bounds every index and
+    exponent here."""
+    if b == 0 and not psi:
+        return _UNIT_FACTOR
     f2 = {(0, 0): _UNIT_POLY if psi else _kappa_symbol(b - 1, g)}
     for a2 in range(n):
         key = a2 + 1 if psi else 1 << (_FIELD_BITS * (a2 + b))
@@ -578,55 +587,46 @@ def _second_factor(g: int, n: int, d: int, b: int, psi: bool, q: QTable) -> _Cel
     return f2
 
 
-def _extract(
-    g: int, d: int, b: int, psi: bool, q: QTable, c: CTable, exp_series: PolySeries | None
-) -> KappaPoly:
-    """Cell (x^n, u^d) of the exponential, times the second factor unless b = 0.
-
-    A shared ``exp_series`` is read at its cells.  Without one, the cell is
-    read from the factors as E0 (G F2): column d of G times the second
-    factor F2, then E0 times that column, so no other cell of the
-    exponential is formed.
-    """
-    n = relation_window(g, d, b, psi)
-    if exp_series is None:
-        e0, cells = _exp_factors(lambda a, j: -c.get(a, j), [d] * (n + 1))
-    elif not exp_series.covers(n, d):
-        raise ValueError(f"shared exponential does not cover the cell ({n}, {d})")
-    f2 = None if b == 0 and not psi else _second_factor(g, n, d, b, psi, q)
-    if exp_series is not None:
-        return exp_series.coeff(n, d) if f2 is None else _convolve_cell(exp_series.cells, f2, n, d)
-    if f2 is not None:
-        column = ((i, _convolve_cell(cells, f2, i, d)) for i in range(n + 1))
-        # as in G, only nonzero cells: no E0 row is multiplied by a zero cell
-        cells = {(i, d): p for i, p in column if not p.is_zero()}
-    return _convolve_cell(cells, e0, n, d)
+def _taut_relation(g: int, d: int, b: int, poly: KappaPoly) -> TautRelation:
+    return TautRelation(g=g, d=d, b=b, degree=g + 1 + b - 2 * d, poly=poly)
 
 
-def extract_relation(
-    g: int, d: int, b: int, q: QTable, c: CTable, exp_series: PolySeries | None = None
-) -> TautRelation:
+def extract_relation(g: int, d: int, b: int, q: QTable, c: CTable) -> TautRelation:
     """Extract the (g, d, b) relation from the exponential generating series.
 
     For b = 0 the plain exponential is read at (x^(g+1-2d), u^d); for
     b >= 1 the exponential times the second factor is read at
     (x^(g+2-2d), u^d).  The zero polynomial is a legal, degenerate result.
-
-    ``exp_series`` may carry a precomputed exponential whose windows
-    include (relation_window(g, d, b), d), so grids of extractions can
-    share one; a shared exponential that does not cover that cell raises
-    ValueError.
+    Many relations are read faster together by ``extract_relations``.
     """
-    poly = _extract(g, d, b, False, q, c, exp_series)
-    return TautRelation(g=g, d=d, b=b, degree=g + 1 + b - 2 * d, poly=poly)
+    n = relation_window(g, d, b)
+    f2 = _second_factor(g, n, d, b, False, q)
+    return _taut_relation(g, d, b, _one_window(lambda a, j: -c.get(a, j), f2, n, d))
 
 
-def extract_psi_relation(
-    g: int, d: int, q: QTable, c: CTable, exp_series: PolySeries | None = None
-) -> PsiRelation:
+def extract_relations(
+    cells: list[tuple[int, int, int]], q: QTable, c: CTable
+) -> list[TautRelation]:
+    """The relation of each (g, d, b) in ``cells``, in order ([] for none),
+    each equal to ``extract_relation``'s.  Every window passes
+    relation_window before one ``kappa_exponential`` is built on their
+    staircase; each relation is read from its cells times the second factor.
+    """
+    if not cells:
+        return []
+    windows = [(relation_window(g, d, b), d) for g, d, b in cells]
+    exp = kappa_exponential(c, windows).cells
+    return [
+        _taut_relation(g, d, b, _convolve_cell(exp, _second_factor(g, n, d, b, False, q), n, d))
+        for (g, d, b), (n, _) in zip(cells, windows)
+    ]
+
+
+def extract_psi_relation(g: int, d: int, q: QTable, c: CTable) -> PsiRelation:
     """Pointed-curve relation with psi (generator 0) kept symbolic."""
-    poly = _extract(g, d, 0, True, q, c, exp_series)
-    return PsiRelation(g=g, d=d, degree=relation_window(g, d, psi=True), poly=poly)
+    n = relation_window(g, d, psi=True)
+    poly = _one_window(lambda a, j: -c.get(a, j), _second_factor(g, n, d, 0, True, q), n, d)
+    return PsiRelation(g=g, d=d, degree=n, poly=poly)
 
 
 def ode_exponential(alpha: BiSeries, windows: list[tuple[int, int]]) -> PolySeries:
@@ -634,83 +634,72 @@ def ode_exponential(alpha: BiSeries, windows: list[tuple[int, int]]) -> PolySeri
 
     This is the ODE route's exponential without its a = 1 slice, the
     scalar (2g-2) sum_j alpha[1][j] w^j, so it serves every genus;
-    ``ode_genus_exponential`` applies that slice.  ``windows`` lists the
-    cells (t^n, w^d) the caller will read; row i is built through w^J(i),
-    with J(i) = max{d : (n, d) in windows, n >= i}.
+    ``extract_relations_from_ode`` applies that slice.  ``windows`` lists
+    the cells (t^n, w^d) the caller will read; row i is built through
+    w^J(i), with J(i) = max{d : (n, d) in windows, n >= i}.
     """
     limits = _staircase(windows)
     n_x, n_w = alpha.orders
     if n_x < len(limits) or n_w < limits[0]:
         raise ValueError(f"alpha table sized {alpha.orders}, need ({len(limits)}, {limits[0]})")
-    return PolySeries(limits, _exp_cells(lambda m, j: alpha.coeff(m + 1, j), limits))
+    return PolySeries(tuple(limits), _exp_cells(lambda m, j: alpha.coeff(m + 1, j), limits))
 
 
-def ode_genus_exponential(
-    base: PolySeries, alpha: BiSeries, g: int, windows: list[tuple[int, int]]
-) -> PolySeries:
-    """``base`` times exp((2g-2) sum_j alpha[1][j] w^j), on the staircase of
-    ``windows``: the whole ODE-route exponential of genus g.
-
-    The factor is a scalar series in w, read as the cells (0, j) of a
-    second series, so each cell is one ``_convolve_cell``.  A base that
-    does not cover the windows, or that already carries a genus factor,
-    raises ValueError.
-    """
-    if base.genus is not None:
-        raise ValueError(f"series already carries the genus-{base.genus} factor")
-    limits = _staircase(windows)
-    if not all(base.covers(i, top) for i, top in enumerate(limits)):
-        raise ValueError(f"base series does not cover the windows {windows!r}")
-    from .series import UniSeries
-
-    f0 = UniSeries("w", limits[0], [(2 * g - 2) * alpha.coeff(1, j) for j in range(limits[0] + 1)])
-    ef0 = {(0, j): KappaPoly.scalar(v) for j, v in enumerate(f0.exp().coeffs) if v}
-    cells = {
-        (i, j): _convolve_cell(base.cells, ef0, i, j)
-        for i, top in enumerate(limits)
-        for j in range(top + 1)
-    }
-    return PolySeries(limits, cells, genus=g)
+def extract_relation_from_ode(g: int, d: int, b: int, alpha: BiSeries) -> TautRelation:
+    """Extract the (g, d, b) relation through the ODE coefficient table: the
+    batch of one of ``extract_relations_from_ode``."""
+    return extract_relations_from_ode([(g, d, b)], alpha)[0]
 
 
-def extract_relation_from_ode(
-    g: int, d: int, b: int, alpha: BiSeries, ode_series: PolySeries | None = None
-) -> TautRelation:
-    """Extract the (g, d, b) relation through the ODE coefficient table.
+def extract_relations_from_ode(
+    cells: list[tuple[int, int, int]], alpha: BiSeries
+) -> list[TautRelation]:
+    """The relation of each (g, d, b) in ``cells``, in order ([] for none),
+    through the ODE coefficient table.
 
     This is an independent pipeline in the (t, w) variables: the
     push-forward dictionary turns the ODE solution into
     sum t^(a-1) kappa_{a-1} alpha[a][j] w^j (the a = 1 slice is the
     scalar (2g-2) sum_j alpha[1][j] w^j), and the companion factor into
-    kappa_{b-1} + 2 sum t^a kappa_{a+b-1} j alpha[a][j] w^j.  Results
-    agree with extract_relation up to the sign (-1)^d coming from the
-    change of variables between the two coordinate systems.
+    kappa_{b-1} + 2 sum t^a kappa_{a+b-1} j alpha[a][j] w^j (1 for b = 0).
+    Results agree with extract_relation up to the sign (-1)^d coming from
+    the change of variables between the two coordinate systems.
 
-    ``ode_series`` may carry a precomputed ``ode_genus_exponential`` of
-    genus g whose windows include (relation_window(g, d, b), d), so the
-    cells of one genus can share one; a series of another genus, or one
-    that does not cover that cell, raises ValueError.
+    One ``ode_exponential`` serves every cell; the a = 1 slice, a scalar
+    series in w read as the cells (0, j) of a second series, multiplies it
+    once per genus, on the staircase of that genus's windows.
     """
-    t_exp = relation_window(g, d, b)
-    if ode_series is None:
-        windows = [(t_exp, d)]
-        ode_series = ode_genus_exponential(ode_exponential(alpha, windows), alpha, g, windows)
-    elif ode_series.genus != g:
-        raise ValueError(f"shared ODE series is for genus {ode_series.genus}, not {g}")
-    elif not ode_series.covers(t_exp, d):
-        raise ValueError(f"shared ODE series does not cover the cell ({t_exp}, {d})")
+    if not cells:
+        return []
+    from .series import UniSeries
 
-    if b == 0:
-        poly = ode_series.coeff(t_exp, d)
-    else:
-        f2 = {(0, 0): _kappa_symbol(b - 1, g)}
-        for a2 in range(0, t_exp + 1):
-            for j in range(1, d + 1):
-                av = alpha.coeff(a2, j)
-                if av:
-                    f2[(a2, j)] = _kappa_symbol(a2 + b - 1, g, coeff=2 * j * av)
-        poly = _convolve_cell(ode_series.cells, f2, t_exp, d)
-    return TautRelation(g=g, d=d, b=b, degree=g + 1 + b - 2 * d, poly=poly)
+    windows = [(relation_window(g, d, b), d) for g, d, b in cells]
+    base = ode_exponential(alpha, windows).cells
+    out: dict[int, TautRelation] = {}
+    for g in dict.fromkeys(g for g, _, _ in cells):
+        ks = [k for k, (g2, _, _) in enumerate(cells) if g2 == g]
+        limits = _staircase([windows[k] for k in ks])
+        w_top = limits[0]
+        f0 = UniSeries("w", w_top, [(2 * g - 2) * alpha.coeff(1, j) for j in range(w_top + 1)])
+        ef0 = {(0, j): KappaPoly.scalar(v) for j, v in enumerate(f0.exp().coeffs) if v}
+        series = {
+            (i, j): cell
+            for i, top in enumerate(limits)
+            for j in range(top + 1)
+            if not (cell := _convolve_cell(base, ef0, i, j)).is_zero()
+        }
+        for k in ks:
+            _, d, b = cells[k]
+            n = windows[k][0]
+            f2 = _UNIT_FACTOR
+            if b:
+                f2 = {(0, 0): _kappa_symbol(b - 1, g)}
+                for a2 in range(n + 1):
+                    for j in range(1, d + 1):
+                        if av := alpha.coeff(a2, j):
+                            f2[(a2, j)] = _kappa_symbol(a2 + b - 1, g, coeff=2 * j * av)
+            out[k] = _taut_relation(g, d, b, _convolve_cell(series, f2, n, d))
+    return [out[k] for k in range(len(cells))]
 
 
 def extract_diagonal_relation(g: int, b: int, a: int, c: CTable) -> DiagonalRelation:
@@ -719,7 +708,8 @@ def extract_diagonal_relation(g: int, b: int, a: int, c: CTable) -> DiagonalRela
     For b = 0 the degree a must equal g/3 + 1 or (g+1)/3; for b >= 1 it
     must equal (g-1)/3 + b or (g+1)/3 + b.  The polynomial is the t^a
     coefficient of exp(-sum c[j][j] kappa_j t^j) times, for b >= 1,
-    (kappa_{b-1} t^(b-1) - 2 kappa_b t^b - 12 sum_j j c[j][j] kappa_{j+b} t^(j+b)).
+    (kappa_{b-1} t^(b-1) - 2 kappa_b t^b - 12 sum_j j c[j][j] kappa_{j+b} t^(j+b)),
+    read through ``_one_window`` with no second variable.
     """
     if g < 2 or b < 0 or a < 1:
         raise ValueError("need g >= 2, b >= 0, a >= 1")
@@ -733,17 +723,13 @@ def extract_diagonal_relation(g: int, b: int, a: int, c: CTable) -> DiagonalRela
             raise ValueError(
                 f"inadmissible (g={g}, b={b}, a={a}): need a = (g-1)/3+b or (g+1)/3+b"
             )
-    e, _ = _exp_factors(lambda m, _: -c.get(m, m), [0] * (a + 1))
-    if b == 0:
-        poly = e.get((a, 0), KappaPoly())
-    else:
+    f2 = _UNIT_FACTOR
+    if b:
         f2 = {(b - 1, 0): _kappa_symbol(b - 1, g), (b, 0): KappaPoly.gen(b, coeff=Fraction(-2))}
         for j in range(1, a - b + 1):
-            cv = c.get(j, j)
-            if cv:
+            if cv := c.get(j, j):
                 f2[(j + b, 0)] = KappaPoly.gen(j + b, coeff=-12 * j * cv)
-        poly = _convolve_cell(e, f2, a, 0)
-    return DiagonalRelation(g=g, b=b, a=a, poly=poly)
+    return DiagonalRelation(g=g, b=b, a=a, poly=_one_window(lambda m, _: -c.get(m, m), f2, a, 0))
 
 
 def relation_json(rel: TautRelation | PsiRelation) -> str:

@@ -15,9 +15,9 @@ from tautrel import (
     diag_ode_residual,
     extract_diagonal_relation,
     extract_relation,
+    extract_relations,
     faber_solve,
     genfunc_check,
-    kappa_exponential,
     ode_check_failures,
     ode_residual,
     p_series,
@@ -87,8 +87,7 @@ def test_criterion_5_relation_golden_values(q60, c60):
 
 
 def test_criterion_6_leading_coefficient_laws(q60, c60):
-    shared = kappa_exponential(c60, [(16, 9)])
-    cells = 0
+    grid = []
     for g in range(2, 17):
         for d in range(2, (g + 2) // 2 + 1):
             for b in range(0, 6):
@@ -96,19 +95,20 @@ def test_criterion_6_leading_coefficient_laws(q60, c60):
                     relation_window(g, d, b)
                 except ValueError:
                     continue
-                a = g + 1 + b - 2 * d
-                if a < 1:
-                    continue
-                rel = extract_relation(g, d, b, q60, c60, exp_series=shared)
-                lead = rel.poly.gen_coeff(a)
-                if b == 0:
-                    want = -c60.get(a, d)
-                elif b == 1:
-                    want = -((2 * g - 2) * c60.get(a, d) + 2 * q60.get(a - 1, d - 1))
-                else:
-                    want = F(-2 * q60.get(a - b, d - 1))
-                assert lead == want, (g, d, b)
-                cells += 1
+                if g + 1 + b - 2 * d >= 1:
+                    grid.append((g, d, b))
+    cells = 0
+    for rel in extract_relations(grid, q60, c60):
+        g, d, b, a = rel.g, rel.d, rel.b, rel.degree
+        lead = rel.poly.gen_coeff(a)
+        if b == 0:
+            want = -c60.get(a, d)
+        elif b == 1:
+            want = -((2 * g - 2) * c60.get(a, d) + 2 * q60.get(a - 1, d - 1))
+        else:
+            want = F(-2 * q60.get(a - b, d - 1))
+        assert lead == want, (g, d, b)
+        cells += 1
     assert cells > 300
     print(f"ACCEPTANCE 6 PASS: leading-coefficient laws hold on {cells} cells (g <= 16, b <= 5)")
 

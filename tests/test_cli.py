@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from tautrel.cli import main
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -419,23 +421,50 @@ def test_closed_stdout_exits_1_without_traceback():
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _assert_matches_reference(refs, op, code, out):
+    ref = refs[" ".join(op)]
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (ref["rc"], ref["sha256"]), op
+
+
 def test_relation_ops_match_the_benchmark_references(capsys):
     # every relation and psi op of the benchmark domains with g <= 20, run
     # in-process: stdout sha256 and exit code as recorded in bench/refs.json
-    bench = Path(__file__).resolve().parents[1] / "bench"
-    spec = importlib.util.spec_from_file_location("bench_ops", bench / "ops.py")
-    ops = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ops)
-    refs = json.loads((bench / "refs.json").read_text())
+    ops = _bench_module("ops")
+    refs = json.loads((BENCH / "refs.json").read_text())
     checked = 0
     for op in ops.relation_domain() + ops.psi_domain():
         if int(op[op.index("--g") + 1]) > 20:
             continue
-        code, out = run(capsys, *op[1:])
-        ref = refs[" ".join(op)]
-        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (ref["rc"], ref["sha256"]), op
+        _assert_matches_reference(refs, op, *run(capsys, *op[1:]))
         checked += 1
     assert checked == 140
+
+
+@pytest.mark.parametrize(
+    "kind, count", [("faber", 6), ("crosscheck", 7), ("scan", 11), ("independence", 74)]
+)
+def test_batch_ops_match_the_benchmark_references(capsys, kind, count):
+    # every op of the benchmark domains that reads relations in batches,
+    # run in-process: stdout sha256 and exit code as in bench/refs.json
+    ops = _bench_module("ops")
+    refs = json.loads((BENCH / "refs.json").read_text())
+    run_independence = _bench_module("independence_op").run
+    domain = getattr(ops, f"{kind}_domain")()
+    for op in domain:
+        if op[0] == "independence":
+            code = run_independence(list(op[1:]))
+            out = capsys.readouterr().out
+        else:
+            code, out = run(capsys, *op[1:])
+        _assert_matches_reference(refs, op, code, out)
+    assert len(domain) == count
 
 
 @pytest.mark.parametrize(

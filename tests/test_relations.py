@@ -9,13 +9,11 @@ from tautrel import (
     KappaPoly,
     cross_pipeline_cells,
     cross_pipeline_check,
-    extract_relation,
+    extract_relations,
     faber_choose,
     faber_solve,
     independence_report,
-    kappa_exponential,
     rank_exact,
-    relation_window,
     scan_nonvanishing,
 )
 from tautrel.cli import main
@@ -181,14 +179,10 @@ def test_independence_rank_matches_rank_over_every_monomial(q20, c20):
     # the monomials the relations hold gives the rank over all partitions
     for g in range(3, 17):
         reports = [independence_report(g, a, q20, c20) for a in range(1, g)]
-        pairs = [(p["d"], p["b"]) for rep in reports for p in rep.pairs]
-        shared = kappa_exponential(c20, [(relation_window(g, d, b), d) for d, b in pairs])
+        cells = [(g, p["d"], p["b"]) for rep in reports for p in rep.pairs if p["nonzero"]]
+        by_cell = {(r.d, r.b): r.poly for r in extract_relations(cells, q20, c20)}
         for rep in reports:
-            polys = [
-                extract_relation(g, p["d"], p["b"], q20, c20, exp_series=shared).poly
-                for p in rep.pairs
-                if p["nonzero"]
-            ]
+            polys = [by_cell[(p["d"], p["b"])] for p in rep.pairs if p["nonzero"]]
             basis = partition_monomials(rep.a)
             rows = [[poly.coeff(m) for m in basis] for poly in polys]
             assert rep.rank == rank_exact(rows), (g, rep.a)

@@ -15,6 +15,8 @@ from tautrel import (
     extract_psi_relation,
     extract_relation,
     extract_relation_from_ode,
+    extract_relations,
+    extract_relations_from_ode,
     faber_choose,
     faber_solve,
     kappa_exponential,
@@ -23,12 +25,7 @@ from tautrel import (
     solve_series_ode,
 )
 from tautrel import tautring
-from tautrel.tautring import (
-    MAX_OPERAND_EXPONENT,
-    _staircase,
-    ode_exponential,
-    ode_genus_exponential,
-)
+from tautrel.tautring import MAX_OPERAND_EXPONENT, _staircase, ode_exponential
 
 from oracles import oracle_diagonal, oracle_extract, oracle_psi_extract, ref_staircase
 
@@ -75,9 +72,12 @@ def test_kappa_poly_max_gen():
 
 def test_kappa_exponential_cells(c20):
     e = kappa_exponential(c20, [(2, 2)])
-    assert e.coeff(0, 0) == KappaPoly.scalar(F(1))
-    assert e.coeff(1, 1) == poly_of({((1, 1),): F(-5, 6)})
-    assert e.coeff(2, 2) == poly_of({((1, 2),): F(25, 72), ((2, 1),): F(-5)})
+    assert e.limits == (2, 2, 2)
+    assert e.cells[(0, 0)] == KappaPoly.scalar(F(1))
+    assert e.cells[(1, 1)] == poly_of({((1, 1),): F(-5, 6)})
+    assert e.cells[(2, 2)] == poly_of({((1, 2),): F(25, 72), ((2, 1),): F(-5)})
+    # zero cells are not stored: u^j past x^i holds no term
+    assert (0, 1) not in e.cells and (1, 2) not in e.cells
 
 
 def test_kappa_exponential_undersized_table():
@@ -92,14 +92,17 @@ def faber_windows(g):
     return [(relation_window(g, ch.d, ch.b), ch.d) for ch in choices]
 
 
+def covers(series, i, j):
+    return 0 <= i < len(series.limits) and 0 <= j <= series.limits[i]
+
+
 def assert_staircase_matches_rectangle(c, windows):
     stair = kappa_exponential(c, windows)
     rect = kappa_exponential(c, [(max(n for n, _ in windows), max(d for _, d in windows))])
     for n, d in windows:
-        assert stair.covers(n, d), (n, d)
-    covered = [(i, j) for i, j in rect.cells if stair.covers(i, j)]
-    assert covered and all(stair.coeff(i, j) == rect.coeff(i, j) for i, j in covered)
-    assert sorted(stair.cells) == sorted(covered)
+        assert covers(stair, n, d), (n, d)
+    covered = {(i, j): p for (i, j), p in rect.cells.items() if covers(stair, i, j)}
+    assert covered and stair.cells == covered
     return stair, rect
 
 
@@ -120,11 +123,10 @@ def test_staircase_size_is_pinned(c60):
 def test_staircase_row_limits(c20):
     e = kappa_exponential(c20, [(8, 2), (2, 4), (5, 3)])
     assert e.limits == (4, 4, 4, 3, 3, 3, 2, 2, 2)
-    assert e.covers(2, 4) and e.covers(5, 3) and e.covers(8, 2)
-    assert not e.covers(3, 4) and not e.covers(9, 0) and not e.covers(0, -1)
-    for i, j in [(3, 4), (6, 3), (8, 3), (9, 0), (-1, 0)]:
-        with pytest.raises(ValueError, match="outside the row limits"):
-            e.coeff(i, j)
+    # (2, 4) is empty: no term has a u power past its x power
+    assert {(5, 3), (8, 2)} <= e.cells.keys() and (2, 4) not in e.cells
+    # (4, 4) is nonzero in the rectangle but above the staircase
+    assert all(covers(e, i, j) for i, j in e.cells) and (4, 4) not in e.cells
     with pytest.raises(ValueError):
         kappa_exponential(c20, [])
     with pytest.raises(ValueError):
@@ -179,18 +181,24 @@ def test_relation_matches_bruteforce_oracle(q20, c20):
         assert r.poly.terms == oracle_extract(g, d, b, q20, c20), (g, d, b)
 
 
-def test_relation_homogeneity_grid(q20, c20):
-    shared = kappa_exponential(c20, [(12, 7)])
-    for g in range(2, 13):
+def relation_cells(g_max, b_max, g_min=2, b_min=0):
+    """Every (g, d, b) in the ranges that has a relation window."""
+    cells = []
+    for g in range(g_min, g_max + 1):
         for d in range(2, (g + 2) // 2 + 1):
-            for b in range(0, 4):
+            for b in range(b_min, b_max + 1):
                 try:
                     relation_window(g, d, b)
                 except ValueError:
                     continue
-                r = extract_relation(g, d, b, q20, c20, exp_series=shared)
-                if not r.poly.is_zero():
-                    assert r.poly.homogeneous_degree() == g + 1 + b - 2 * d
+                cells.append((g, d, b))
+    return cells
+
+
+def test_relation_homogeneity_grid(q20, c20):
+    for r in extract_relations(relation_cells(12, 3), q20, c20):
+        if not r.poly.is_zero():
+            assert r.poly.homogeneous_degree() == r.degree == r.g + 1 + r.b - 2 * r.d
 
 
 def test_relation_window():
@@ -212,23 +220,6 @@ def test_relation_range_errors(q20, c20):
         extract_relation(4, 1, 0, q20, c20)
     with pytest.raises(ValueError, match="out of range"):
         extract_relation(4, 4, 0, q20, c20)
-
-
-def test_relation_shared_exponential_too_small(q20, c20):
-    shared = kappa_exponential(c20, [(2, 2)])
-    with pytest.raises(ValueError):
-        extract_relation(9, 2, 0, q20, c20, exp_series=shared)
-
-
-def test_relation_shared_staircase_not_covering(q20, c20):
-    # (11, 4, 0) reads (x^4, u^4): inside the bounding rectangle (8, 4),
-    # above the staircase, whose row 4 stops at u^3
-    shared = kappa_exponential(c20, [(8, 2), (2, 4), (5, 3)])
-    assert relation_window(11, 4) == 4
-    with pytest.raises(ValueError, match="does not cover"):
-        extract_relation(11, 4, 0, q20, c20, exp_series=shared)
-    covered = extract_relation(9, 2, 1, q20, c20, exp_series=shared)  # (x^7, u^2)
-    assert covered == extract_relation(9, 2, 1, q20, c20)
 
 
 def test_general_b0_is_proportional(q20, c20):
@@ -274,27 +265,13 @@ def test_psi_relation_matches_bruteforce_oracle(q20, c20):
 
 
 def test_one_window_read_equals_the_shared_read(q20, c20):
-    # without a shared series a relation is read from E0 (G F2) alone; with
-    # one, from the staircase cells sum_k E0_k G(i-k, j)
-    windows = {}
-    for g in range(2, 17):
-        for d in range(2, (g + 2) // 2 + 1):
-            for b in range(5):
-                try:
-                    windows[(g, d, b, False)] = relation_window(g, d, b)
-                except ValueError:
-                    pass
-            windows[(g, d, 0, True)] = relation_window(g, d, psi=True)
-    shared = kappa_exponential(c20, [(n, key[1]) for key, n in windows.items()])
-    nonzero = 0
-    for g, d, b, psi in windows:
-        if psi:
-            one, both = (extract_psi_relation(g, d, q20, c20, e) for e in (None, shared))
-        else:
-            one, both = (extract_relation(g, d, b, q20, c20, e) for e in (None, shared))
-        assert one == both, (g, d, b, psi)
-        nonzero += not one.poly.is_zero()
-    assert nonzero > 200
+    # alone a relation is read from E0 (G F2); in a batch, from the cells
+    # sum_k E0_k G(i-k, j) of one exponential on the staircase of all windows
+    cells = relation_cells(16, 4)
+    batch = extract_relations(cells, q20, c20)
+    assert batch == [extract_relation(*cell, q20, c20) for cell in cells]
+    assert sum(not r.poly.is_zero() for r in batch) > 150
+    assert extract_relations([], q20, c20) == []
 
 
 def test_psi_relation_range_error(q20, c20):
@@ -320,44 +297,17 @@ def test_ode_pipeline_undersized_alpha():
 
 
 def test_shared_ode_series_equals_per_cell_extraction():
-    # one base exponential for the whole grid, its genus factor once per genus
-    cells = cross_pipeline_cells(14)
-    alpha = solve_series_ode(max(n for *_, n in cells) + 1, max(d for _, d, _, _ in cells))
-    base = ode_exponential(alpha, [(n, d) for _, d, _, n in cells])
-    for g in sorted({g for g, *_ in cells}):
-        mine = [(d, b, n) for g2, d, b, n in cells if g2 == g]
-        series = ode_genus_exponential(base, alpha, g, [(n, d) for d, _, n in mine])
-        assert series.genus == g
-        for d, b, _ in mine:
-            shared = extract_relation_from_ode(g, d, b, alpha, ode_series=series)
-            assert shared == extract_relation_from_ode(g, d, b, alpha), (g, d, b)
-
-
-def test_shared_ode_series_refusals():
-    alpha = solve_series_ode(9, 5)
-    windows = [(6, 2), (2, 4)]
-    base = ode_exponential(alpha, windows)
-    assert base.limits == (4, 4, 4, 2, 2, 2, 2) and base.genus is None
-    series = ode_genus_exponential(base, alpha, 8, windows)
-    # (8, 2, 1) reads (t^6, w^2), on the staircase
-    assert relation_window(8, 2, 1) == 6
-    assert extract_relation_from_ode(8, 2, 1, alpha, ode_series=series) == (
-        extract_relation_from_ode(8, 2, 1, alpha)
-    )
-    # (8, 3, 1) reads (t^4, w^3): inside the bounding rectangle, above row 4's w^2
-    assert relation_window(8, 3, 1) == 4
-    with pytest.raises(ValueError, match="does not cover"):
-        extract_relation_from_ode(8, 3, 1, alpha, ode_series=series)
-    # (7, 2, 2) reads (t^5, w^2), covered, but the series holds genus 8's factor
-    with pytest.raises(ValueError, match="genus"):
-        extract_relation_from_ode(7, 2, 2, alpha, ode_series=series)
-    with pytest.raises(ValueError, match="genus"):
-        extract_relation_from_ode(8, 2, 1, alpha, ode_series=base)
-    # the factor goes on once, and only on cells the base holds
-    with pytest.raises(ValueError, match="already carries"):
-        ode_genus_exponential(series, alpha, 8, windows)
-    with pytest.raises(ValueError, match="does not cover"):
-        ode_genus_exponential(base, alpha, 8, [(7, 2)])
+    # one base exponential for the whole grid, its genus factor once per
+    # genus; cells of several genera interleave, and come back in order
+    grid = cross_pipeline_cells(14)
+    cells = [(g, d, b) for g, d, b, _ in grid]
+    cells = cells[::2] + cells[1::2]
+    alpha = solve_series_ode(max(n for *_, n in grid) + 1, max(d for _, d, _, _ in grid))
+    batch = extract_relations_from_ode(cells, alpha)
+    assert batch == [extract_relation_from_ode(*cell, alpha) for cell in cells]
+    assert extract_relations_from_ode([], alpha) == []
+    # the base is built on the staircase of the windows, as the kappa route's
+    assert ode_exponential(alpha, [(6, 2), (2, 4)]).limits == (4, 4, 4, 2, 2, 2, 2)
     with pytest.raises(ValueError):
         ode_exponential(alpha, [])
 
@@ -428,33 +378,28 @@ def test_leading_coefficient_laws_small(q20, c20):
 
 def test_no_low_monomials_for_large_b(q20, c20):
     # b >= 3 relations contain no monomial using only kappa_1..kappa_{b-2}
-    shared = kappa_exponential(c20, [(12, 7)])
     found = 0
-    for g in range(6, 13):
-        for d in range(2, (g + 2) // 2 + 1):
-            for b in range(3, 6):
-                try:
-                    relation_window(g, d, b)
-                except ValueError:
-                    continue
-                r = extract_relation(g, d, b, q20, c20, exp_series=shared)
-                if r.poly.is_zero():
-                    continue
-                found += 1
-                for mono, _ in r.poly.terms.items():
-                    assert any(idx > b - 2 for idx, _e in mono), (g, d, b, mono)
+    for r in extract_relations(relation_cells(12, 5, g_min=6, b_min=3), q20, c20):
+        if r.poly.is_zero():
+            continue
+        found += 1
+        for mono in r.poly.terms:
+            assert any(idx > r.b - 2 for idx, _e in mono), (r.g, r.d, r.b, mono)
     assert found > 5
 
 
 # ------------------------------------------------ kernel operand exponents
 
 def _kappa_1_only_tables(n):
-    """q zero and c zero past its real a = 1 row (c[1][0] = 1/12, c[1][1] = 5/6).
+    """c zero past its real a = 1 row (c[1][0] = 1/12, c[1][1] = 5/6), and
+    q one at j = 1 and zero elsewhere.
 
-    Each exponential cell (i, j) is then one multiple of kappa_1^i, so the
-    extraction of a window n near 128 runs at once.
+    Each exponential cell (i, j) is then one multiple of kappa_1^i, and
+    each second factor has one entry per row, so the extraction of a
+    window n near 128 runs at once.  The psi second factor then holds
+    psi^n, at (x^n, u^2).
     """
-    q = QTable(n, tuple((0,) * (k + 1) for k in range(n + 1)))
+    q = QTable(n, tuple(tuple(int(j == 1) for j in range(k + 1)) for k in range(n + 1)))
     rows = ((F(1, 12), F(5, 6)),) + tuple((F(0),) * (k + 1) for k in range(2, n + 1))
     return q, CTable(n, rows)
 
@@ -470,32 +415,35 @@ def _kappa_1_only_tables(n):
 )
 def test_largest_window_the_kernel_multiplies(monkeypatch, b, psi, last):
     # relation_window refuses a window n past `last`; with its bound lifted
-    # by one, the kernel itself shows that, through an exponential that
-    # covers the window, `last` runs and `last + 1` overflows.  The
-    # one-window read multiplies no cell by the second factor, so only the
-    # shared read meets the bound for b >= 1 and psi.
+    # by one, the kernel itself shows that `last` runs and `last + 1`
+    # overflows.  The read that meets the bound: for b = 0 the E0
+    # recurrence, in either read; for psi the psi^n entry of the second
+    # factor; for b >= 1 the batch read, which multiplies the cell
+    # (x^n, u^d), holding kappa_1^n, by the second factor (the one-window
+    # read multiplies only E0 rows below n).
     q, c = _kappa_1_only_tables(last + 1)
     d = 2
     for n in (last, last + 1):
         g = n + 2 * d - (1 if b == 0 and not psi else 2)
-
-        def run(exp_series):
-            if psi:
-                return extract_psi_relation(g, d, q, c, exp_series)
-            return extract_relation(g, d, b, q, c, exp_series)
-
+        if psi:
+            reads = [lambda: extract_psi_relation(g, d, q, c)]
+        else:
+            reads = [
+                lambda: extract_relations([(g, d, b)], q, c)[0],
+                lambda: extract_relation(g, d, b, q, c),
+            ]
         if n == last:
             assert relation_window(g, d, b, psi) == n
-            shared = run(kappa_exponential(c, [(n, d)]))
-            assert not shared.poly.is_zero()
-            assert run(None) == shared
+            first, *others = [read() for read in reads]
+            assert not first.poly.is_zero()
+            assert others == [first] * len(others)
         else:
             with pytest.raises(ValueError, match="in a product operand outside"):
                 relation_window(g, d, b, psi)
             monkeypatch.setattr(tautring, "MAX_OPERAND_EXPONENT", MAX_OPERAND_EXPONENT + 1)
             assert relation_window(g, d, b, psi) == n
             with pytest.raises(OverflowError):
-                run(kappa_exponential(c, [(n, d)]))
+                reads[0]()
 
 
 @pytest.mark.parametrize(
