@@ -7,21 +7,23 @@ follows the constructive recipe: prefer a b >= 2 relation whose leading
 coefficient is a positive integer from the q triangle; where no integer
 d exists in the admissible interval, fall back to the parity-matched
 b in {0, 1} relation, whose leading coefficient the scan checks to be
-nonzero for every a up to 60.
+nonzero for every a up to 60.  Polynomials are read only through tautring,
+which alone knows their packed form: the point check and the rank's rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count, islice
-from math import lcm, prod
+from math import lcm
 from typing import NamedTuple
 
 from .tables import CTable, QTable
 from .tautring import (
-    _FIELD_BITS,
     KappaPoly,
     _check_kernel_bounds,
+    _monomial_rows,
+    _value_at,
     extract_relations,
     extract_relations_from_ode,
     relation_window,
@@ -156,26 +158,6 @@ def faber_solve(
     return out
 
 
-def _value_at(poly: KappaPoly, point: list, m: int, low_values: dict[int, int]) -> Fraction:
-    """poly at kappa_i = point[i], from its packed terms.  The terms are
-    grouped by their part in the generators past kappa_m, so the rest is
-    summed over integers and each group meets a rational value once;
-    ``low_values`` keeps the value of each monomial in kappa_1..kappa_m."""
-    low_point, high_point = point[1 : m + 1], point[m + 1 :]
-    cut = _FIELD_BITS * (m + 1)
-    groups: dict[int, int] = {}
-    for key, n in poly._num.items():
-        low = key & ((1 << cut) - 1)
-        if (v := low_values.get(low)) is None:
-            v = low_values[low] = prod(map(pow, low_point, low.to_bytes(m + 1, "little")[1:]))
-        groups[key >> cut] = groups.get(key >> cut, 0) + n * v
-    total = sum(
-        n * prod(x**e for x, e in zip(high_point, k.to_bytes(len(high_point), "little")) if e)
-        for k, n in groups.items()
-    )
-    return Fraction(total, poly._den)
-
-
 # The scan recomputes the b = 1 coefficient by full extraction for a <= this.
 _SAMPLE_MAX = 8
 
@@ -251,7 +233,7 @@ def scan_nonvanishing(a_max: int, q: QTable, c: CTable) -> ScanReport:
 
 
 def rank_exact(rows: list[list[Fraction]]) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
+    """Rank of rows of ints or Fractions by fraction-free (Bareiss) elimination."""
     mat: list[list[int]] = []
     for row in rows:
         if not any(row):
@@ -302,7 +284,8 @@ def independence_report(g: int, a: int, q: QTable, c: CTable) -> IndependenceRep
     """Extract every (d, b) relation of degree a in genus g and rank them.
 
     Pairs satisfy d >= 2, b >= 0, a = g+1+b-2d and nonnegative extraction
-    exponents; zero polynomials are listed but excluded from the matrix.
+    exponents; zero polynomials are listed but excluded from the matrix,
+    whose rows are the others' integer numerators over their monomials.
     """
     if g < 2 or a < 1:
         raise ValueError("need g >= 2 and a >= 1")
@@ -310,9 +293,7 @@ def independence_report(g: int, a: int, q: QTable, c: CTable) -> IndependenceRep
     rels = extract_relations(cells, q, c)
     pairs = [{"d": r.d, "b": r.b, "nonzero": not r.poly.is_zero()} for r in rels]
     polys = [r.poly for r in rels if not r.poly.is_zero()]
-    basis = sorted({mono for p in polys for mono in p.terms})
-    rank = rank_exact([[p.coeff(mono) for mono in basis] for p in polys])
-    return IndependenceReport(g, a, pairs, len(polys), rank)
+    return IndependenceReport(g, a, pairs, len(polys), rank_exact(_monomial_rows(polys)))
 
 
 def cross_pipeline_cells(g_max: int) -> list[tuple[int, int, int, int]]:

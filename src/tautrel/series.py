@@ -11,6 +11,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Collection, Iterable, Iterator
 
+from .tables import _add_convolution
+
 __all__ = [
     "UniSeries",
     "BiSeries",
@@ -25,18 +27,6 @@ def _over_common_den(values: Collection[Fraction]) -> tuple[list[int], int]:
     """Integer numerators of values over the lcm of their denominators."""
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _add_convolution(out: list[int], a: list[int], b: list[int]) -> None:
-    """out[i + j] += a[i] * b[j] for every i + j < len(out)."""
-    n = len(out)
-    nonzero_b = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        if x:
-            for j, y in nonzero_b:
-                if i + j >= n:
-                    break
-                out[i + j] += x * y
 
 
 def binomial_series_coeffs(c: Fraction, e: Fraction, order: int) -> list[Fraction]:

@@ -48,14 +48,16 @@ class CTable(NamedTuple):
         return self.rows[k - 1][j]
 
 
-def _conv(a: list[int] | tuple[int, ...], b: list[int] | tuple[int, ...]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
+def _add_convolution(out: list[int], a: list[int], b: list[int]) -> None:
+    """out[i + j] += a[i] * b[j] for every i + j < len(out)."""
+    n = len(out)
+    nonzero_b = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
+            for j, y in nonzero_b:
+                if i + j >= n:
+                    break
+                out[i + j] += x * y
 
 
 def build_q_table(k_max: int) -> QTable:
@@ -78,9 +80,8 @@ def build_q_table(k_max: int) -> QTable:
         # every pair but the middle one.
         conv_row = [0] * (kk + 1)
         for m in range(kk // 2 + 1):
-            weight = 1 if 2 * m == kk else 2
-            for l, v in enumerate(_conv(rows[m], rows[kk - m])):
-                conv_row[l] += weight * v
+            row_m = rows[m] if 2 * m == kk else [2 * v for v in rows[m]]
+            _add_convolution(conv_row, row_m, rows[kk - m])
         prev = rows[kk]
         row = []
         for j in range(k + 1):

@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul, or_
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -362,6 +362,32 @@ def _peel(num: dict[int, int], den: int, mapping: dict[int, KappaPoly], mask: in
     return _sum_of_products(pairs)
 
 
+def _value_at(poly: KappaPoly, point: list, m: int, low_values: dict[int, int]) -> Fraction:
+    """poly at kappa_i = point[i], from its packed terms, apart from
+    ``substitute`` and ``_sum_of_products``.  Terms are grouped by their part
+    past kappa_m, so each group meets a rational value once; ``low_values``
+    keeps each monomial's value in kappa_1..kappa_m at point[1..m]."""
+    low_point, high_point = point[1 : m + 1], point[m + 1 :]
+    cut = _FIELD_BITS * (m + 1)
+    groups: dict[int, int] = {}
+    for key, n in poly._num.items():
+        low = key & ((1 << cut) - 1)
+        if (v := low_values.get(low)) is None:
+            v = low_values[low] = prod(map(pow, low_point, low.to_bytes(m + 1, "little")[1:]))
+        groups[key >> cut] = groups.get(key >> cut, 0) + n * v
+    total = sum(
+        n * prod(x**e for x, e in zip(high_point, k.to_bytes(len(high_point), "little")) if e)
+        for k, n in groups.items()
+    )
+    return Fraction(total, poly._den)
+
+
+def _monomial_rows(polys: list[KappaPoly]) -> list[list[int]]:
+    """Row i is polys[i] times its denominator, over every packed monomial they hold."""
+    basis = sorted(set().union(*(p._num for p in polys)))
+    return [[p._num.get(k, 0) for k in basis] for p in polys]
+
+
 def terms_json(poly: KappaPoly) -> str:
     """The terms as canonical JSON array text, in ``sorted_terms`` order.
 
@@ -513,7 +539,7 @@ def _convolve_cell(cells: _Cells, f2: _Cells, i: int, j: int) -> KappaPoly:
     """Coefficient (i, j) of the product of two series, each given by its
     cells, without forming the full product.  Times F2 = 1 it is the cell
     itself, with no kernel product: a batch cell (x^n, u^d) holds kappa_1^n,
-    past the operand relation_window bounds for b = 0."""
+    past the operand relation_window bounds for b = 0 and d < n."""
     if f2 is _UNIT_FACTOR:
         return cells.get((i, j), KappaPoly())
     pairs = []
@@ -545,9 +571,11 @@ def relation_window(g: int, d: int, b: int = 0, psi: bool = False) -> int:
     and when the kernel could not multiply the relation out: a generator
     index past MAX_INDEX (none exceeds the relation's degree, g+1+b-2d or
     n for psi), or a product operand past MAX_OPERAND_EXPONENT.  That
-    operand is kappa_1^(n-1) in the exponential's recurrence for b = 0,
-    for b >= 1 the cell, holding kappa_1^n, that a batch read multiplies by
-    the second factor, and for psi the second factor's psi^n entry.
+    operand is, for b = 0, kappa_1^(n-1) in the exponential's recurrence if
+    d < n, else G(n, n), a multiple of kappa_1^n (G(i, j) = 0 for j > i)
+    that a batch read, and for d = n the one-window read, multiplies by
+    E0_0; for b >= 1 the cell, holding kappa_1^n, that a batch read
+    multiplies by the second factor; for psi the second factor's psi^n entry.
     """
     if g < 2 or d < 2 or b < 0:
         raise ValueError("need g >= 2, d >= 2, b >= 0")
@@ -555,7 +583,7 @@ def relation_window(g: int, d: int, b: int = 0, psi: bool = False) -> int:
     n = (g + 1 - 2 * d) if plain else (g + 2 - 2 * d)
     if n < 0:
         raise ValueError(f"relation out of range for (g={g}, d={d}, b={b})")
-    _check_kernel_bounds(n if psi else g + 1 + b - 2 * d, n - 1 if plain else n)
+    _check_kernel_bounds(n if psi else g + 1 + b - 2 * d, n - 1 if plain and d < n else n)
     return n
 
 

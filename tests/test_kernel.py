@@ -6,13 +6,14 @@ ring in oracles.py, which shares no code with the library.
 
 from fractions import Fraction as F
 from functools import cmp_to_key
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tautrel import KappaPoly
-from tautrel.tautring import MAX_INDEX, terms_json
+from tautrel.tautring import MAX_INDEX, _monomial_rows, _value_at, terms_json
 
 from oracles import (
     mono_cmp,
@@ -159,6 +160,38 @@ def test_substitute_is_linear(p, q, mapping, r):
     a, b = KappaPoly(p), KappaPoly(q)
     assert (a + b).substitute(kmap) == a.substitute(kmap) + b.substitute(kmap)
     assert a.scale(r).substitute(kmap) == a.substitute(kmap).scale(r)
+
+
+# faber's polynomials hold no psi, and its check point reads none
+kappa_polys = ref_polys.map(lambda p: {m: v for m, v in p.items() if not m or m[0][0]})
+point_values = st.one_of(st.integers(min_value=-7, max_value=7), fractions)
+
+
+@SETTINGS
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.lists(point_values, min_size=7, max_size=7),
+    st.lists(kappa_polys, min_size=1, max_size=4),
+)
+def test_value_at_matches_term_by_term_evaluation(m, point, polys):
+    # generators 1..6 fall on both sides of the cut m, and one low_values
+    # memo serves every call at this point, as in faber_solve
+    low_values = {}
+    for p in polys:
+        poly = KappaPoly(p)
+        terms = poly.terms.items()
+        want = sum((v * prod(point[i] ** e for i, e in mono) for mono, v in terms), F(0))
+        assert _value_at(poly, point, m, low_values) == want
+
+
+@SETTINGS
+@given(st.lists(ref_polys, max_size=4))
+def test_monomial_rows_are_the_polys_over_their_monomials(ps):
+    # up to one order of the columns, row i is ps[i] over the union of the
+    # monomials, times the lcm of its denominators
+    basis = {m for p in ps for m in p}
+    want = [[p.get(m, 0) * lcm(*(v.denominator for v in p.values())) for m in basis] for p in ps]
+    assert sorted(zip(*_monomial_rows([KappaPoly(p) for p in ps]))) == sorted(zip(*want))
 
 
 # ------------------------------------------------------------ encoding edges

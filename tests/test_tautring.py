@@ -421,9 +421,21 @@ def test_largest_window_the_kernel_multiplies(monkeypatch, b, psi, last):
     # factor; for b >= 1 the batch read, which multiplies the cell
     # (x^n, u^d), holding kappa_1^n, by the second factor (the one-window
     # read multiplies only E0 rows below n).
+    _assert_largest_window(monkeypatch, b, psi, last, lambda n: 2)
+
+
+def test_largest_diagonal_window_the_kernel_multiplies(monkeypatch):
+    # b = 0 with d = n (3d = g + 1): G(i, j) = 0 for j > i, and the cell
+    # G(n, n), a multiple of kappa_1^n, is multiplied by E0_0 in either
+    # read, so the bound is one lower than for d < n: (g=380, d=127) runs,
+    # and (g=383, d=128) is refused rather than overflowing.
+    _assert_largest_window(monkeypatch, 0, False, MAX_OPERAND_EXPONENT, lambda n: n)
+
+
+def _assert_largest_window(monkeypatch, b, psi, last, d_of):
     q, c = _kappa_1_only_tables(last + 1)
-    d = 2
     for n in (last, last + 1):
+        d = d_of(n)
         g = n + 2 * d - (1 if b == 0 and not psi else 2)
         if psi:
             reads = [lambda: extract_psi_relation(g, d, q, c)]
