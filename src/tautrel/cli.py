@@ -1,18 +1,15 @@
-"""Command-line front end: the parser and one handler per subcommand.
+"""Command-line front end: a table-driven parser and one handler per subcommand.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 usage error.
 
-Each handler imports only the modules it runs, since a fresh process
-compiles what it imports: ``--help`` and usage errors load no library
-module, ``relation`` loads ``tables`` and ``tautring``, ``faber`` and
-``scan`` add ``relations``, and only ``coeffs`` loads ``tableio``, the
-table writers and the ``--cache-dir`` cache.  No module imports this
-one, so ``python -m tautrel.cli`` executes it once.
+A fresh process compiles what it imports, so the parser imports nothing
+(argparse cost a process about 7 ms) and each handler only what it runs:
+``--help`` and usage errors load no library module, ``relation`` loads
+``tables`` and ``tautring``, ``faber`` and ``scan`` add ``relations``,
+and only ``coeffs`` loads ``tableio``, the table writers and the cache.
+No module imports this one, so ``python -m tautrel.cli`` runs it once.
 """
 
-from __future__ import annotations
-
-import argparse
 import os
 import sys
 
@@ -118,72 +115,123 @@ def _cmd_scan(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tautrel",
-        description="Exact kappa-class relation toolkit: tables, checks, extraction.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("coeffs", help="emit a coefficient table")
-    p.add_argument("--table", required=True, choices=_TABLE_KINDS)
-    p.add_argument("--max-k", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--cache-dir", default=None)
-    p.set_defaults(func=_cmd_coeffs)
-
-    p = sub.add_parser("verify", help="run an exact verification suite")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=(*VERIFY_SUITES, "all"),
-    )
-    p.add_argument("--order", type=int, required=True)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("relation", help="extract one relation as canonical JSON")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--b", type=int, default=0)
-    p.add_argument("--psi", action="store_true")
-    p.set_defaults(func=_cmd_relation)
-
-    p = sub.add_parser("faber", help="solve for the high kappa classes")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--rewrite", action="store_true")
-    p.set_defaults(func=_cmd_faber)
-
-    p = sub.add_parser("scan", help="nonvanishing scan of the fallback coefficients")
-    p.add_argument("--max-a", type=int, required=True)
-    p.set_defaults(func=_cmd_scan)
-    return parser
+# command -> (handler, help line, {option: (kind, default)}); a kind is int, str,
+# a tuple of choices or bool (a flag), and a default of ... marks a required option
+_COMMANDS = {
+    "coeffs": (_cmd_coeffs, "emit a coefficient table", {
+        "--table": (_TABLE_KINDS, ...), "--max-k": (int, ...),
+        "--format": (("json", "csv"), "json"), "--cache-dir": (str, None)}),
+    "verify": (_cmd_verify, "run an exact verification suite",
+               {"--suite": ((*VERIFY_SUITES, "all"), ...), "--order": (int, ...)}),
+    "relation": (_cmd_relation, "extract one relation as canonical JSON",
+                 {"--g": (int, ...), "--d": (int, ...), "--b": (int, 0), "--psi": (bool, False)}),
+    "faber": (_cmd_faber, "solve for the high kappa classes",
+              {"--g": (int, ...), "--rewrite": (bool, False)}),
+    "scan": (_cmd_scan, "nonvanishing scan of the fallback coefficients", {"--max-a": (int, ...)}),
+}
 
 
-def _validate(parser: argparse.ArgumentParser, args) -> None:
+class _Args:
+    """A command line read: ``command``, ``func`` and one attribute per option."""
+
+
+def _usage(command: str | None = None) -> str:
+    if command is None:
+        return "usage: tautrel [-h] {" + ",".join(_COMMANDS) + "} ..."
+    words = [f"usage: tautrel {command} [-h]"]
+    for opt, (kind, default) in _COMMANDS[command][2].items():
+        metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else opt[2:].upper()
+        word = opt if kind is bool else f"{opt} {metavar.replace('-', '_')}"
+        words.append(word if default is ... else f"[{word}]")
+    return " ".join(words)
+
+
+def _error(message: str, command: str | None = None) -> None:
+    prog = " ".join(filter(None, ("tautrel", command)))
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _option(token: str, options: dict) -> tuple | None:
+    """argparse's reading of ``token``: the option it names, whole or by a unique
+    prefix, its kind and its ``=value`` (all None if unknown); or None for a value."""
+    name, eq, value = token.partition("=")
+    hits = ["--help"] if name == "-h" else [o for o in options if o.startswith(name)]
+    if len(hits) == 1 and (name == "-h" or name[:2] == "--"):
+        return hits[0], options[hits[0]][0], value if eq else None
+    # a value has no leading "-", or is a negative number or holds a space
+    number = token[1:].replace(".", "", 1).isdecimal() and token[-1] != "."
+    if token[:1] != "-" or token == "-" or token != "--" and (number or " " in token):
+        return None
+    return None, None, None
+
+
+def _parse(argv: list[str]) -> _Args:
+    """The options in ``argv`` as argparse reads them, or its exit: 0 after help, 2 on error."""
+    command, options, given, strays, i = None, {"--help": (bool, False)}, {}, [], 0
+    while i < len(argv) and argv[i] != "--":
+        token, i = argv[i], i + 1
+        read = _option(token, options)
+        if read is None and command is None:
+            if token not in _COMMANDS:
+                _error(f"argument command: choose from {', '.join(_COMMANDS)}")
+            command, options = token, {**options, **_COMMANDS[token][2]}
+            continue
+        opt, kind, value = read or (None, None, None)
+        if opt is None:
+            strays.append(token)
+            continue
+        if kind is bool and value is not None:
+            _error(f"argument {opt}: ignored explicit argument {value!r}", command)
+        if opt == "--help":
+            rows = [f"  {name:<10}{line}" for name, (_, line, _) in _COMMANDS.items()]
+            print("\n".join([_usage(command), "", *([_COMMANDS[command][1]] if command else rows)]))
+            raise SystemExit(0)
+        if kind is not bool and value is None:
+            if i == len(argv) or _option(argv[i], options):
+                _error(f"argument {opt}: expected one argument", command)
+            value, i = argv[i], i + 1
+        if isinstance(kind, tuple) and value not in kind:
+            _error(f"argument {opt}: {value!r} is not one of {', '.join(kind)}", command)
+        try:
+            given[opt] = True if kind is bool else int(value) if kind is int else value
+        except ValueError:
+            _error(f"argument {opt}: invalid int value: {value!r}", command)
+    missing = [opt for opt, (_, default) in options.items() if default is ... and opt not in given]
+    if missing or not command:
+        _error("missing " + ", ".join(missing or ["command"]), command)
+    if strays or i < len(argv):
+        _error(f"unrecognized arguments: {' '.join(strays + argv[i:])}")
+    args = _Args()
+    for opt, (_, default) in _COMMANDS[command][2].items():
+        setattr(args, opt[2:].replace("-", "_"), given.get(opt, default))
+    args.command, args.func = command, _COMMANDS[command][0]
+    return args
+
+
+def _validate(args) -> None:
     if args.command == "coeffs":
         if args.max_k < (1 if args.table in ("c", "alpha") else 0):
-            parser.error(f"--max-k {args.max_k} out of range for table {args.table}")
+            _error(f"--max-k {args.max_k} out of range for table {args.table}")
     elif args.command == "verify":
         if args.order < max(VERIFY_SUITES[suite][0] for suite in _suites(args.suite)):
-            parser.error(f"--order {args.order} out of range for suite {args.suite}")
+            _error(f"--order {args.order} out of range for suite {args.suite}")
     elif args.command == "relation":
         if args.g < 2 or args.d < 2 or args.b < 0:
-            parser.error("need --g >= 2, --d >= 2, --b >= 0")
+            _error("need --g >= 2, --d >= 2, --b >= 0")
         if args.psi and args.b:
-            parser.error("--b does not apply to --psi relations")
+            _error("--b does not apply to --psi relations")
     elif args.command == "faber":
         if args.g < 2:
-            parser.error("need --g >= 2")
+            _error("need --g >= 2")
     elif args.command == "scan":
         if args.max_a < 1:
-            parser.error("--max-a must be >= 1")
+            _error("--max-a must be >= 1")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    _validate(parser, args)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
+    _validate(args)
     # exact values print and parse whole: lift the int<->str digit cap for this call
     cap = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     try:

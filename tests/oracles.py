@@ -7,9 +7,11 @@ contributing prod (-c[a][j])^m / m! on the monomial prod kappa_a^m.
 Nothing here is shared with the production pipeline: no series type,
 no slice recurrence, just recursion over pair multiplicities.  The
 socle values below test the relations against mathematics from outside
-the paper.
+the paper.  At the end, the argparse parser the CLI once used is the
+reference for its command-line reading.
 """
 
+import argparse
 import json
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
@@ -444,3 +446,74 @@ def coeff_via_change_of_vars(p, a, d):
         m = d - j
         total += v * (-1) ** j * _binomial_series_coeff(d - 1 - j, m) * 4**m
     return total * (-1) ** d
+
+
+# ---------------------------------------------------------------------------
+# the CLI's argparse parser and its range checks, as the CLI had them
+
+
+def _ref_build_parser():
+    parser = argparse.ArgumentParser(
+        prog="tautrel",
+        description="Exact kappa-class relation toolkit: tables, checks, extraction.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("coeffs", help="emit a coefficient table")
+    p.add_argument("--table", required=True, choices=("q", "c", "alpha", "p", "bernoulli"))
+    p.add_argument("--max-k", type=int, required=True)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--cache-dir", default=None)
+
+    p = sub.add_parser("verify", help="run an exact verification suite")
+    p.add_argument(
+        "--suite",
+        required=True,
+        choices=("identities", "ode", "genfunc", "crosscheck", "all"),
+    )
+    p.add_argument("--order", type=int, required=True)
+
+    p = sub.add_parser("relation", help="extract one relation as canonical JSON")
+    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--b", type=int, default=0)
+    p.add_argument("--psi", action="store_true")
+
+    p = sub.add_parser("faber", help="solve for the high kappa classes")
+    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--rewrite", action="store_true")
+
+    p = sub.add_parser("scan", help="nonvanishing scan of the fallback coefficients")
+    p.add_argument("--max-a", type=int, required=True)
+    return parser
+
+
+_REF_LEAST_ORDER = {"identities": 1, "ode": 2, "genfunc": 1, "crosscheck": 2, "all": 2}
+
+
+def _ref_validate(parser, args):
+    if args.command == "coeffs":
+        if args.max_k < (1 if args.table in ("c", "alpha") else 0):
+            parser.error(f"--max-k {args.max_k} out of range for table {args.table}")
+    elif args.command == "verify":
+        if args.order < _REF_LEAST_ORDER[args.suite]:
+            parser.error(f"--order {args.order} out of range for suite {args.suite}")
+    elif args.command == "relation":
+        if args.g < 2 or args.d < 2 or args.b < 0:
+            parser.error("need --g >= 2, --d >= 2, --b >= 0")
+        if args.psi and args.b:
+            parser.error("--b does not apply to --psi relations")
+    elif args.command == "faber":
+        if args.g < 2:
+            parser.error("need --g >= 2")
+    elif args.command == "scan":
+        if args.max_a < 1:
+            parser.error("--max-a must be >= 1")
+
+
+def ref_parse_args(argv):
+    """The attributes the argparse CLI read from ``argv``; exits as it did."""
+    parser = _ref_build_parser()
+    args = parser.parse_args(argv)
+    _ref_validate(parser, args)
+    return vars(args)

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ref_parse_args
+from tautrel import cli
 from tautrel.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -448,11 +450,21 @@ def test_relation_ops_match_the_benchmark_references(capsys):
 
 
 @pytest.mark.parametrize(
-    "kind, count", [("faber", 6), ("crosscheck", 7), ("scan", 11), ("independence", 74)]
+    "kind, count",
+    [
+        ("faber", 6),
+        ("crosscheck", 7),
+        ("scan", 11),
+        ("independence", 74),
+        ("coeffs", 100),
+        ("verify", 29),
+    ],
 )
-def test_batch_ops_match_the_benchmark_references(capsys, kind, count):
-    # every op of the benchmark domains that reads relations in batches,
-    # run in-process: stdout sha256 and exit code as in bench/refs.json
+def test_batch_ops_match_the_benchmark_references(capsys, tmp_path, kind, count):
+    # every op of the benchmark domains but the relation and psi ops, run
+    # in-process: stdout sha256 and exit code as in bench/refs.json.  The
+    # coeffs ops share one table cache, as the ops of a benchmark pass do,
+    # so each table is computed, written, and served to the smaller requests
     ops = _bench_module("ops")
     refs = json.loads((BENCH / "refs.json").read_text())
     run_independence = _bench_module("independence_op").run
@@ -462,7 +474,8 @@ def test_batch_ops_match_the_benchmark_references(capsys, kind, count):
             code = run_independence(list(op[1:]))
             out = capsys.readouterr().out
         else:
-            code, out = run(capsys, *op[1:])
+            cache = ("--cache-dir", str(tmp_path)) if kind == "coeffs" else ()
+            code, out = run(capsys, *op[1:], *cache)
         _assert_matches_reference(refs, op, code, out)
     assert len(domain) == count
 
@@ -479,3 +492,181 @@ def test_faber_bytes_past_the_benchmark_genera(capsys, g, sha256):
     # from the cached-power substitute, before the peel
     code, out = run(capsys, "faber", "--g", str(g), "--rewrite")
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, sha256)
+
+
+# ----------------------------------------------------------- the parser
+
+_R = ["relation", "--g", "8", "--d", "2"]
+_C = ["coeffs", "--table", "q", "--max-k", "3"]
+
+# argvs the parser accepts: the = form, unique prefixes, any order, the
+# last of a repeated option, negative numbers as values, and ints as int()
+# reads them
+_ACCEPTED = [
+    ["relation", "--g=8", "--d=2"],
+    _R + ["--b", "-0"],
+    _C + ["--format=csv"],
+    _C + ["--cache-dir=x"],
+    _C + ["--cache-dir="],
+    _C + ["--cache-dir", "-1"],
+    _C + ["--cache-dir", "-.5"],
+    _C + ["--cache-dir", "-x y"],
+    ["coeffs", "--t", "q", "--m", "5", "--c", "x"],
+    ["coeffs", "--tab", "p", "--max", "5", "--f", "csv"],
+    ["scan", "--max", "5"],
+    ["scan", "--m=5"],
+    ["faber", "--g", "8", "--r"],
+    _R + ["--ps"],
+    ["verify", "--s", "all", "--o", "4"],
+    ["relation", "--d", "2", "--g", "8"],
+    ["faber", "--rewrite", "--g", "8"],
+    _R + ["--g", "9"],
+    _R + ["--b", "1", "--b", "2"],
+    _R + ["--psi", "--psi"],
+    _C + ["--format", "csv", "--format", "json"],
+    ["relation", "--g", " 8", "--d", "+2"],
+    ["relation", "--g", "1_0", "--d", "2"],
+    ["relation", "--g", "\u0668", "--d", "2"],
+]
+
+# help at the top level and after a command, before any later error
+_HELP = [
+    ["--help"],
+    ["-h"],
+    ["--he"],
+    ["relation", "--help"],
+    ["relation", "-h"],
+    _R + ["--h"],
+    ["--bogus", "relation", "--help"],
+    ["relation", "--bogus", "--help"],
+    ["relation", "--help", "--g", "x"],
+]
+
+# argvs that exit 2, one or more per kind of failure
+_MALFORMED = [
+    [],  # no command
+    ["--bogus"],
+    ["nope"],  # unknown command
+    ["rel", "--g", "8", "--d", "2"],
+    ["5", "relation"],
+    [""],
+    ["-", "relation"],
+    ["relation", "--g", "8"],  # missing option
+    ["relation"],
+    ["coeffs"],
+    ["relation", "-g", "8", "--d", "2"],
+    ["relation", "--G", "8", "--d", "2"],
+    ["relation", "--g"],  # missing value
+    _R + ["--b"],
+    ["relation", "--g", "--d", "2"],
+    _C + ["--cache-dir", "--format"],  # a value that looks like an option
+    _C + ["--cache-dir", "-x"],
+    _C + ["--cache-dir", "--"],
+    _C + ["--cache-dir", "-5."],
+    ["relation", "--g", "-1_0", "--d", "2"],
+    _R + ["--b", "-1e3"],
+    _R + ["--bogus"],  # unknown option
+    _R + ["--bogus=3"],
+    _R + ["--bogus", "3"],
+    _R + ["---b", "3"],
+    _R + ["--B", "1"],
+    ["--bogus", "relation", "--g", "8", "--d", "2"],
+    ["relation", "--g", "x", "--d", "2"],  # bad int
+    _R + ["--b", "1.5"],
+    _R + ["--b", "-1.5"],
+    _R + ["--b", "- 1"],
+    ["relation", "--g", "8", "--g", "x", "--d", "2"],
+    ["coeffs", "--table", "z", "--max-k", "3"],  # bad choice
+    _C + ["--format", "xml"],
+    ["verify", "--suite", "nope", "--order", "3"],
+    ["coeffs", "--table=", "--max-k", "3"],
+    _R + ["--psi=1"],  # a flag given =value
+    _R + ["--psi="],
+    ["faber", "--g", "8", "--rewrite=yes"],
+    ["--help=1"],
+    _R + ["--he=1"],
+    _R + ["x"],  # a stray positional
+    _R + ["-"],
+    _R + [""],
+    ["relation", "x", "--g", "8", "--d", "2"],
+    ["scan", "--max-a", "5", "extra"],
+    _R + ["--"],  # everything from -- on is positional
+    ["relation", "--", "--g", "8", "--d", "2"],
+    ["relation", "--g", "--", "8", "--d", "2"],
+    _R + ["--", "--help"],
+    ["relation", "--g", "x", "--help"],  # an error before --help
+    ["relation", "--g", "--help"],
+    ["--=x", "--help"],
+    ["relation", "--g=8", "--d=2", "--b=-1"],  # read, then refused by the range checks
+    _R + ["--b", "-1"],
+    ["verify", "--suite", "all", "--order", "2", "--order", "1"],
+    ["coeffs", "--table", "q", "--max-k", "-1"],
+    ["coeffs", "--table", "alpha", "--max-k", "0"],
+    ["verify", "--suite", "ode", "--order", "1"],
+    ["relation", "--g", "5", "--d", "2", "--b", "3", "--psi"],
+    ["faber", "--g", "1"],
+    ["scan", "--max-a", "0"],
+]
+
+
+def _new_parse(argv):
+    args = cli._parse(argv)
+    cli._validate(args)
+    attrs = dict(vars(args))
+    assert attrs.pop("func") is cli._COMMANDS[args.command][0]
+    return attrs
+
+
+def _outcome(parse, argv, capsys):
+    """The attributes read from ``argv``, or the exit code, with stdout and stderr."""
+    try:
+        result = parse(list(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+def _assert_parses_as_argparse_did(argv, capsys):
+    ref = _outcome(ref_parse_args, argv, capsys)[0]
+    new, out, err = _outcome(_new_parse, argv, capsys)
+    assert new == ref, argv
+    if new == 2:
+        lines = err.splitlines()
+        assert out == "" and len(lines) == 2, argv
+        assert lines[0].startswith("usage: tautrel ") and lines[1].startswith("tautrel"), argv
+        assert ": error: " in lines[1], argv
+    elif new == 0:
+        assert out.startswith("usage: tautrel ") and err == "", argv
+    return new
+
+
+def test_parser_reads_every_benchmark_argv_as_argparse_did(capsys):
+    refs = json.loads((BENCH / "refs.json").read_text())
+    argvs = [key.split()[1:] for key in refs if key.startswith("cli ")]
+    assert len(argvs) == 543
+    for argv in argvs:
+        assert isinstance(_assert_parses_as_argparse_did(argv, capsys), dict), argv
+
+
+@pytest.mark.parametrize(
+    "argv, expect",
+    [(argv, "read") for argv in _ACCEPTED]
+    + [(argv, 0) for argv in _HELP]
+    + [(argv, 2) for argv in _MALFORMED],
+    ids=lambda value: " ".join(value) or "(none)" if isinstance(value, list) else None,
+)
+def test_parser_reads_each_form_as_argparse_did(argv, expect, capsys):
+    result = _assert_parses_as_argparse_did(argv, capsys)
+    assert isinstance(result, dict) if expect == "read" else result == expect
+
+
+def test_help_lists_every_command_and_option(capsys):
+    code, out, _ = _outcome(main, ["--help"], capsys)
+    assert code == 0
+    for name, (_, line, _) in cli._COMMANDS.items():
+        assert f"  {name}" in out and line in out
+    for name, (_, line, options) in cli._COMMANDS.items():
+        code, out, _ = _outcome(main, [name, "--help"], capsys)
+        assert code == 0 and line in out
+        assert all(opt in out.splitlines()[0] for opt in options)

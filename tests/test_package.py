@@ -1,5 +1,6 @@
 """The package namespace, the record types, and what each CLI call loads."""
 
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -64,12 +65,21 @@ def _python(*args):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _bare_modules():
+    return frozenset(_python("-c", "import sys; print(' '.join(sorted(sys.modules)))").stdout.split())
+
+
 def loaded_by(*argv):
     """Exit code of one CLI call, and the modules it loaded beyond a bare interpreter."""
-    bare = _python("-c", "import sys; print(' '.join(sorted(sys.modules)))")
     proc = _python("-c", _PROBE, *argv)
     after = proc.stdout.splitlines()[-1]
-    return proc.returncode, set(after.split()) - set(bare.stdout.split())
+    return proc.returncode, set(after.split()) - _bare_modules()
+
+
+# the command line is read without argparse, whose import and first use
+# (gettext, and locale through it) cost a fresh process about 7 ms
+_PARSER_MODULES = {"argparse", "gettext", "locale"}
 
 
 def tautrel_modules(mods):
@@ -86,13 +96,40 @@ def tautrel_modules(mods):
         (["relation", "--g", "1", "--d", "2"], 2),
         (["coeffs", "--table", "q", "--max-k", "-1"], 2),
         (["verify", "--suite", "nope", "--order", "3"], 2),
+        (["relation", "--help"], 0),
+        # one usage error of each kind
+        ([], 2),
+        (["nope"], 2),
+        (["relation", "--g", "8"], 2),
+        (["relation", "--g"], 2),
+        (["relation", "--g", "8", "--d", "2", "--bogus"], 2),
+        (["relation", "--g", "x", "--d", "2"], 2),
+        (["faber", "--g", "8", "--rewrite=1"], 2),
+        (["scan", "--max-a", "5", "extra"], 2),
+        (["coeffs", "--table", "q", "--max-k", "3", "--cache-dir", "--format"], 2),
     ],
 )
 def test_help_and_usage_errors_load_no_library_module(argv, code):
     rc, mods = loaded_by(*argv)
     assert rc == code
     assert tautrel_modules(mods) == {"tautrel", "tautrel.cli"}
-    assert "json" not in mods
+    assert not ({"json"} | _PARSER_MODULES) & mods
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--table", "p", "--max-k", "4", "--format", "json"],
+        ["verify", "--suite", "all", "--order", "4"],
+        ["relation", "--g", "8", "--d", "2"],
+        ["faber", "--g", "8", "--rewrite"],
+        ["scan", "--max-a", "5"],
+    ],
+)
+def test_no_command_loads_the_argparse_modules(argv):
+    rc, mods = loaded_by(*argv)
+    assert rc == 0
+    assert not _PARSER_MODULES & mods
 
 
 def test_relation_loads_neither_relations_nor_dataclasses():
