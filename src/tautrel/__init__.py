@@ -9,7 +9,8 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# public name -> the submodule that defines it
+# public name -> the submodule that defines it; the one list of public
+# names, from which each submodule reads its __all__
 _EXPORTS = {
     "bernoulli_table": "exact",
     **dict.fromkeys(("BiSeries", "UniSeries", "binomial_series_coeffs"), "series"),

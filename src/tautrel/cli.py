@@ -37,8 +37,7 @@ def _suites(name: str) -> list[str]:
 def _cmd_coeffs(args) -> int:
     from .tableio import emit_table
 
-    cache_dir = args.cache_dir or os.environ.get("TAUTREL_CACHE_DIR")
-    return emit_table(args.table, args.max_k, args.format, cache_dir)
+    return emit_table(args.table, args.max_k, args.format, args.cache_dir)
 
 
 def _cmd_verify(args) -> int:

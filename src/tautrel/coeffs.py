@@ -18,24 +18,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
+from . import _EXPORTS
 from .exact import bernoulli_table
 from .series import BiSeries, UniSeries, binomial_series_coeffs
 # re-exported, so ``tautrel.coeffs.build_q_table`` still names the builder
 from .tables import CTable, QTable, build_c_table, build_q_table  # noqa: F401
 
-__all__ = [
-    "solve_series_ode",
-    "expand_w_deriv_closed",
-    "expand_closed_form",
-    "p_series",
-    "ode_residual",
-    "ode_check_failures",
-    "q_functional_equation_residual",
-    "diag_ode_residual",
-    "genfunc_check",
-    "remark_identity_failures",
-    "verify_coeff_identities",
-]
+__all__ = [name for name, home in _EXPORTS.items() if home == "coeffs"]
 
 _ZERO = Fraction(0)
 

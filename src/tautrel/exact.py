@@ -12,7 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-__all__ = ["bernoulli_table"]
+from . import _EXPORTS
+
+__all__ = [name for name, home in _EXPORTS.items() if home == "exact"]
 
 
 def bernoulli_table(n_max: int) -> tuple[Fraction, ...]:

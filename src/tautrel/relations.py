@@ -18,6 +18,7 @@ from itertools import count, islice
 from math import lcm
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .tables import CTable, QTable
 from .tautring import (
     KappaPoly,
@@ -29,20 +30,7 @@ from .tautring import (
     relation_window,
 )
 
-__all__ = [
-    "FaberChoice",
-    "GeneratorExpression",
-    "FaberConsistencyError",
-    "faber_choose",
-    "faber_solve",
-    "ScanReport",
-    "scan_nonvanishing",
-    "IndependenceReport",
-    "independence_report",
-    "rank_exact",
-    "cross_pipeline_cells",
-    "cross_pipeline_check",
-]
+__all__ = [name for name, home in _EXPORTS.items() if home == "relations"]
 
 
 class FaberConsistencyError(RuntimeError):

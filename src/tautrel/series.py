@@ -11,13 +11,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Collection, Iterable, Iterator
 
+from . import _EXPORTS
 from .tables import _add_convolution
 
-__all__ = [
-    "UniSeries",
-    "BiSeries",
-    "binomial_series_coeffs",
-]
+__all__ = [name for name, home in _EXPORTS.items() if home == "series"]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

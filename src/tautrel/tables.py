@@ -11,7 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-__all__ = ["QTable", "CTable", "build_q_table", "build_c_table"]
+from . import _EXPORTS
+
+__all__ = [name for name, home in _EXPORTS.items() if home == "tables"]
 
 _ZERO = Fraction(0)
 

@@ -46,31 +46,13 @@ from math import gcd, lcm, prod
 from operator import mul, or_
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import _EXPORTS
 from .tables import CTable, QTable
 
 if TYPE_CHECKING:  # the ODE route's solution; only its callers load series
     from .series import BiSeries
 
-__all__ = [
-    "MAX_INDEX",
-    "MAX_OPERAND_EXPONENT",
-    "KappaPoly",
-    "PolySeries",
-    "TautRelation",
-    "PsiRelation",
-    "DiagonalRelation",
-    "kappa_exponential",
-    "relation_window",
-    "extract_relation",
-    "extract_relations",
-    "extract_psi_relation",
-    "extract_relation_from_ode",
-    "extract_relations_from_ode",
-    "extract_diagonal_relation",
-    "ode_exponential",
-    "relation_json",
-    "terms_json",
-]
+__all__ = [name for name, home in _EXPORTS.items() if home == "tautring"]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
