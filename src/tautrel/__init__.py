@@ -47,7 +47,6 @@ _EXPORTS = {
             "extract_relations",
             "extract_relations_from_ode",
             "kappa_exponential",
-            "ode_exponential",
             "relation_json",
             "relation_window",
             "terms_json",

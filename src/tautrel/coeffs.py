@@ -256,9 +256,9 @@ def diag_ode_residual(q: QTable, k_max: int) -> UniSeries:
     z2dp = [_ZERO] * (n + 1)
     for k in range(1, n + 1):
         z2dp[k] = Fraction(6 * (k - 1)) * dd[k - 1]
-    t1 = UniSeries("z", n, z2dp[: n + 1])
+    t1 = UniSeries("z", n, z2dp)
     inhom = UniSeries.from_terms("z", n, {2: Fraction(5)})
-    return d - t1.truncate(n) - d * d - inhom
+    return d - t1 - d * d - inhom
 
 
 def genfunc_check(q: QTable, c: CTable, k_max: int) -> tuple[str, list[str]]:

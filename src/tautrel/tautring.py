@@ -22,10 +22,10 @@ dict equality.  Sums, scalings and products work on integers only, and
 every product goes through one kernel, ``_sum_of_products``.
 
 At the edges a monomial reads as a tuple of (index, exponent) pairs
-sorted by index (``Mono``): ``terms``, ``sorted_terms``, ``coeff`` and the
-constructor speak that form.  The weighted degree of a monomial counts
-index*exponent (psi counts 1 per power).  Every extracted relation is
-homogeneous in this grading.
+sorted by index (``Mono``): ``terms``, ``coeff`` and the constructor speak
+that form.  The weighted degree of a monomial counts index*exponent (psi
+counts 1 per power).  Every extracted relation is homogeneous in this
+grading.
 
 An exponential exp(sum_m v1^m kappa_m sum_j coeff(m, j) v2^j) is built as
 two factors, E0(v1) G(v1, v2): E0 is the exponential of the v2^0 slice, G
@@ -238,18 +238,6 @@ class KappaPoly:
         used = reduce(or_, self._num, 0)
         return (used.bit_length() - 1) // _FIELD_BITS if used else -1
 
-    def homogeneous_degree(self) -> int | None:
-        """Common weighted degree, None for the zero polynomial.
-
-        Raises ValueError when the terms mix degrees.
-        """
-        degs = {_weight(k) for k in self._num}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError(f"inhomogeneous polynomial, degrees {sorted(degs)}")
-        return degs.pop()
-
     def substitute(self, mapping: dict[int, "KappaPoly"]) -> "KappaPoly":
         """Replace each mapped generator by its polynomial, exactly.
 
@@ -262,11 +250,6 @@ class KappaPoly:
         for idx in mapping:
             mask |= _EXP_MAX << (_FIELD_BITS * idx)
         return _peel(self._num, self._den, mapping, mask)
-
-    def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
-        """Terms in canonical order (see ``_canonical_keys``)."""
-        num, den = self._num, self._den
-        return [(_decode(k), Fraction(num[k], den)) for k in _canonical_keys(num)]
 
     def __repr__(self) -> str:
         return f"KappaPoly({len(self._num)} terms)"
@@ -371,7 +354,7 @@ def _monomial_rows(polys: list[KappaPoly]) -> list[list[int]]:
 
 
 def terms_json(poly: KappaPoly) -> str:
-    """The terms as canonical JSON array text, in ``sorted_terms`` order.
+    """The terms as canonical JSON array text, in ``_canonical_keys`` order.
 
     Each term reads {"monomial":{"<index>":<exponent>,...},"coeff":"<n/d>"},
     the coefficient in lowest terms ("<n>" when integral), with no spaces.
@@ -639,22 +622,6 @@ def extract_psi_relation(g: int, d: int, q: QTable, c: CTable) -> PsiRelation:
     return PsiRelation(g=g, d=d, degree=n, poly=poly)
 
 
-def ode_exponential(alpha: BiSeries, windows: list[tuple[int, int]]) -> PolySeries:
-    """exp(sum_{a>=2} t^(a-1) kappa_{a-1} sum_j alpha[a][j] w^j) on a staircase.
-
-    This is the ODE route's exponential without its a = 1 slice, the
-    scalar (2g-2) sum_j alpha[1][j] w^j, so it serves every genus;
-    ``extract_relations_from_ode`` applies that slice.  ``windows`` lists
-    the cells (t^n, w^d) the caller will read; row i is built through
-    w^J(i), with J(i) = max{d : (n, d) in windows, n >= i}.
-    """
-    limits = _staircase(windows)
-    n_x, n_w = alpha.orders
-    if n_x < len(limits) or n_w < limits[0]:
-        raise ValueError(f"alpha table sized {alpha.orders}, need ({len(limits)}, {limits[0]})")
-    return PolySeries(tuple(limits), _exp_cells(lambda m, j: alpha.coeff(m + 1, j), limits))
-
-
 def extract_relation_from_ode(g: int, d: int, b: int, alpha: BiSeries) -> TautRelation:
     """Extract the (g, d, b) relation through the ODE coefficient table: the
     batch of one of ``extract_relations_from_ode``."""
@@ -675,41 +642,44 @@ def extract_relations_from_ode(
     Results agree with extract_relation up to the sign (-1)^d coming from
     the change of variables between the two coordinate systems.
 
-    One ``ode_exponential`` serves every cell; the a = 1 slice, a scalar
-    series in w read as the cells (0, j) of a second series, multiplies it
-    once per genus, on the staircase of that genus's windows.
+    One exponential without the a = 1 slice, on the staircase of all the
+    windows, serves every genus.  That slice, a scalar series in w read as
+    the cells (0, j) of a second series, multiplies it once per genus, on
+    the staircase of that genus's windows, where the genus first appears.
     """
     if not cells:
         return []
     from .series import UniSeries
 
     windows = [(relation_window(g, d, b), d) for g, d, b in cells]
-    base = ode_exponential(alpha, windows).cells
-    out: dict[int, TautRelation] = {}
-    for g in dict.fromkeys(g for g, _, _ in cells):
-        ks = [k for k, (g2, _, _) in enumerate(cells) if g2 == g]
-        limits = _staircase([windows[k] for k in ks])
-        w_top = limits[0]
-        f0 = UniSeries("w", w_top, [(2 * g - 2) * alpha.coeff(1, j) for j in range(w_top + 1)])
-        ef0 = {(0, j): KappaPoly.scalar(v) for j, v in enumerate(f0.exp().coeffs) if v}
-        series = {
-            (i, j): cell
-            for i, top in enumerate(limits)
-            for j in range(top + 1)
-            if not (cell := _convolve_cell(base, ef0, i, j)).is_zero()
-        }
-        for k in ks:
-            _, d, b = cells[k]
-            n = windows[k][0]
-            f2 = _UNIT_FACTOR
-            if b:
-                f2 = {(0, 0): _kappa_symbol(b - 1, g)}
-                for a2 in range(n + 1):
-                    for j in range(1, d + 1):
-                        if av := alpha.coeff(a2, j):
-                            f2[(a2, j)] = _kappa_symbol(a2 + b - 1, g, coeff=2 * j * av)
-            out[k] = _taut_relation(g, d, b, _convolve_cell(series, f2, n, d))
-    return [out[k] for k in range(len(cells))]
+    limits = _staircase(windows)
+    n_x, n_w = alpha.orders
+    if n_x < len(limits) or n_w < limits[0]:
+        raise ValueError(f"alpha table sized {alpha.orders}, need ({len(limits)}, {limits[0]})")
+    base = _exp_cells(lambda m, j: alpha.coeff(m + 1, j), limits)
+    by_genus: dict[int, _Cells] = {}
+    out = []
+    for (g, d, b), (n, _) in zip(cells, windows):
+        if (series := by_genus.get(g)) is None:
+            stairs = _staircase([w for (g2, _, _), w in zip(cells, windows) if g2 == g])
+            w_top = stairs[0]
+            f0 = UniSeries("w", w_top, [(2 * g - 2) * alpha.coeff(1, j) for j in range(w_top + 1)])
+            ef0 = {(0, j): KappaPoly.scalar(v) for j, v in enumerate(f0.exp().coeffs) if v}
+            series = by_genus[g] = {
+                (i, j): cell
+                for i, top in enumerate(stairs)
+                for j in range(top + 1)
+                if not (cell := _convolve_cell(base, ef0, i, j)).is_zero()
+            }
+        f2 = _UNIT_FACTOR
+        if b:
+            f2 = {(0, 0): _kappa_symbol(b - 1, g)}
+            for a2 in range(n + 1):
+                for j in range(1, d + 1):
+                    if av := alpha.coeff(a2, j):
+                        f2[(a2, j)] = _kappa_symbol(a2 + b - 1, g, coeff=2 * j * av)
+        out.append(_taut_relation(g, d, b, _convolve_cell(series, f2, n, d)))
+    return out
 
 
 def extract_diagonal_relation(g: int, b: int, a: int, c: CTable) -> DiagonalRelation:

@@ -301,6 +301,19 @@ def mono_weight(m):
     return sum((idx if idx >= 1 else 1) * e for idx, e in m)
 
 
+def weights(poly):
+    """The set of weighted degrees of a polynomial's terms: {a} when it is
+    homogeneous of degree a, empty for zero."""
+    return {mono_weight(m) for m in poly.terms}
+
+
+def leading_term(poly):
+    """(monomial, coefficient) of a nonzero polynomial's first term in
+    canonical order."""
+    mono = min(poly.terms, key=cmp_to_key(mono_cmp))
+    return mono, poly.terms[mono]
+
+
 def mono_cmp(m1, m2):
     """Canonical order: graded, then lexicographic by exponent vector."""
     w1, w2 = mono_weight(m1), mono_weight(m2)

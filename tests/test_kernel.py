@@ -5,7 +5,6 @@ ring in oracles.py, which shares no code with the library.
 """
 
 from fractions import Fraction as F
-from functools import cmp_to_key
 from math import lcm, prod
 
 import pytest
@@ -16,13 +15,13 @@ from tautrel import KappaPoly
 from tautrel.tautring import MAX_INDEX, _monomial_rows, _value_at, terms_json
 
 from oracles import (
-    mono_cmp,
     ref_add,
     ref_clean,
     ref_mul,
     ref_scale,
     ref_substitute,
     ref_terms_json,
+    weights,
 )
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -81,14 +80,6 @@ def test_terms_view_round_trip(p):
     assert KappaPoly(view) == poly
     for m, v in p.items():
         assert view[m] == v and poly.coeff(m) == v and m in view
-
-
-@SETTINGS
-@given(ref_polys)
-def test_sorted_terms_order_matches_comparator(p):
-    got = [m for m, _ in KappaPoly(p).sorted_terms()]
-    assert got == sorted(p, key=cmp_to_key(mono_cmp))
-    assert dict(KappaPoly(p).sorted_terms()) == p
 
 
 # psi (index 0), indices past one byte and up to MAX_INDEX, exponents to 255;
@@ -210,7 +201,7 @@ def test_without_gen_drops_only_the_bare_generator():
 def test_exponents_up_to_the_field_limit_round_trip():
     p = KappaPoly.gen(1, 127) * KappaPoly.gen(1, 127)
     assert p.terms == {((1, 254),): 1}
-    assert p.max_gen() == 1 and p.homogeneous_degree() == 254
+    assert p.max_gen() == 1 and weights(p) == {254}
     top = KappaPoly.gen(MAX_INDEX, 3) * KappaPoly.gen(0, 2)
     assert top.terms == {((0, 2), (MAX_INDEX, 3)): 1}
     assert top.max_gen() == MAX_INDEX

@@ -204,6 +204,32 @@ def test_every_trace_target_binds_a_function():
         assert inspect.isfunction(vars(owner).get(attr)), f"{modname}.{qualname}"
 
 
+def test_every_trace_counter_counts_a_real_result(q20, c20):
+    # bench/tracer.py counts terms, cells and bytes off these results; a
+    # counter that no longer reads them would only warn "count skipped"
+    spec = importlib.util.spec_from_file_location("tracer", BENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    k1, k2 = tautrel.KappaPoly.gen(1), tautrel.KappaPoly.gen(2)
+    poly = k1 * k2 + k2
+    rel = extract_relation(5, 2, 0, q20, c20)
+    calls = {
+        "KappaPoly.substitute": ((poly, {2: k1 * k1}), poly.substitute({2: k1 * k1})),
+        "KappaPoly.__mul__": ((poly, k1), poly * k1),
+        "KappaPoly.__add__": ((poly, k1), poly + k1),
+        "kappa_exponential": ((c20, [(4, 2)]), tautrel.kappa_exponential(c20, [(4, 2)])),
+        "relation_json": ((rel,), tautrel.relation_json(rel)),
+    }
+    counted = [(qualname, counter) for _, _, qualname, counter in tracer.TARGETS if counter]
+    assert sorted(qualname for qualname, _ in counted) == sorted(calls)
+    for qualname, counter in counted:
+        counts = dict.fromkeys(tracer.COUNT_NAMES, 0)
+        args, result = calls[qualname]
+        counter(counts, args, {}, result)
+        written = {name: v for name, v in counts.items() if v}
+        assert written and min(written.values()) > 0, (qualname, counts)
+
+
 # --------------------------------------------------------------- namespace
 
 

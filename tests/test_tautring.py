@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -25,9 +26,16 @@ from tautrel import (
     solve_series_ode,
 )
 from tautrel import tautring
-from tautrel.tautring import MAX_OPERAND_EXPONENT, _staircase, ode_exponential
+from tautrel.tautring import MAX_OPERAND_EXPONENT, _staircase
 
-from oracles import oracle_diagonal, oracle_extract, oracle_psi_extract, ref_staircase
+from oracles import (
+    leading_term,
+    oracle_diagonal,
+    oracle_extract,
+    oracle_psi_extract,
+    ref_staircase,
+    weights,
+)
 
 
 def poly_of(terms):
@@ -42,16 +50,9 @@ def test_kappa_poly_algebra():
     p = k1 * k1 + k2.scale(F(-3))
     assert p.coeff(((1, 2),)) == 1
     assert p.gen_coeff(2) == -3
-    assert p.homogeneous_degree() == 2
+    assert weights(p) == {2}
     assert (p - p).is_zero()
     assert (k1 * k2).coeff(((1, 1), (2, 1))) == 1
-
-
-def test_kappa_poly_inhomogeneous_detection():
-    p = KappaPoly.gen(1) + KappaPoly.gen(2)
-    with pytest.raises(ValueError):
-        p.homogeneous_degree()
-    assert KappaPoly().homogeneous_degree() is None
 
 
 def test_kappa_poly_substitute():
@@ -60,7 +61,7 @@ def test_kappa_poly_substitute():
     sub = expr.substitute({2: k1 * k1.scale(F(1, 2)), 3: k1 * k1 * k1})
     assert sub == k1 * k1 * k1 + (k1 * k1 * k1 * k1).scale(F(1, 4))
     # psi (index 0) counts weight 1 per power
-    assert KappaPoly.gen(0, exponent=3).homogeneous_degree() == 3
+    assert weights(KappaPoly.gen(0, exponent=3)) == {3}
 
 
 def test_kappa_poly_max_gen():
@@ -148,11 +149,21 @@ def test_staircase_refuses_empty_and_negative_windows():
 
 
 def test_both_routes_build_the_same_staircase(c20):
-    alpha = solve_series_ode(10, 6)
     for windows in ([(8, 2), (2, 4), (5, 3)], [(6, 2), (2, 4)], [(3, 0)], [(0, 5)]):
         limits = kappa_exponential(c20, windows).limits
-        assert limits == ode_exponential(alpha, windows).limits, windows
         assert list(limits) == ref_staircase(windows), windows
+    # the ODE batch builds its exponential on the same staircase: with windows
+    # (6, 2) and (2, 4), rows 0..6 and w^4 at most, it takes alpha of exactly
+    # (7, 4) and refuses one row or one column less
+    cells = [(9, 2, 0), (8, 4, 1)]
+    assert [(relation_window(g, d, b), d) for g, d, b in cells] == [(6, 2), (2, 4)]
+    assert kappa_exponential(c20, [(6, 2), (2, 4)]).limits == (4, 4, 4, 2, 2, 2, 2)
+    exact = extract_relations_from_ode(cells, solve_series_ode(7, 4))
+    assert exact == extract_relations_from_ode(cells, solve_series_ode(8, 5))
+    assert not exact[0].poly.is_zero()
+    for orders in ((6, 4), (7, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"sized {orders}, need (7, 4)")):
+            extract_relations_from_ode(cells, solve_series_ode(*orders))
 
 
 # ---------------------------------------------------------- main extraction
@@ -160,7 +171,7 @@ def test_both_routes_build_the_same_staircase(c20):
 def test_relation_golden_values(q20, c20):
     r = extract_relation(5, 2, 0, q20, c20)
     assert r.poly == poly_of({((1, 2),): F(25, 72), ((2, 1),): F(-5)})
-    assert (r.degree, r.poly.homogeneous_degree()) == (2, 2)
+    assert r.degree == 2 and weights(r.poly) == {2}
 
     r = extract_relation(4, 2, 1, q20, c20)
     assert r.poly == poly_of({((1, 2),): F(15, 4), ((2, 1),): F(-40)})
@@ -198,7 +209,7 @@ def relation_cells(g_max, b_max, g_min=2, b_min=0):
 def test_relation_homogeneity_grid(q20, c20):
     for r in extract_relations(relation_cells(12, 3), q20, c20):
         if not r.poly.is_zero():
-            assert r.poly.homogeneous_degree() == r.degree == r.g + 1 + r.b - 2 * r.d
+            assert weights(r.poly) == {r.degree} == {r.g + 1 + r.b - 2 * r.d}
 
 
 def test_relation_window():
@@ -233,7 +244,7 @@ def test_general_b0_is_proportional(q20, c20):
         if simple.poly.is_zero():
             assert general.is_zero()
             continue
-        mono, lead = simple.poly.sorted_terms()[0]
+        mono, lead = leading_term(simple.poly)
         ratio = general.coeff(mono) / lead
         assert ratio != 0
         assert general == simple.poly.scale(ratio), (g, d)
@@ -246,7 +257,7 @@ def test_general_b0_is_proportional(q20, c20):
 def test_psi_relation_values(q20, c20):
     r = extract_psi_relation(4, 2, q20, c20)
     assert r.poly.coeff(((0, 2),)) == -10  # -2*q[1][1]
-    assert r.poly.homogeneous_degree() == 4 + 2 - 2 * 2
+    assert weights(r.poly) == {4 + 2 - 2 * 2}
 
     assert extract_psi_relation(4, 3, q20, c20).poly.is_zero()
 
@@ -298,18 +309,15 @@ def test_ode_pipeline_undersized_alpha():
 
 def test_shared_ode_series_equals_per_cell_extraction():
     # one base exponential for the whole grid, its genus factor once per
-    # genus; cells of several genera interleave, and come back in order
+    # genus; cells of several genera interleave or run backwards, and come
+    # back in order
     grid = cross_pipeline_cells(14)
     cells = [(g, d, b) for g, d, b, _ in grid]
-    cells = cells[::2] + cells[1::2]
     alpha = solve_series_ode(max(n for *_, n in grid) + 1, max(d for _, d, _, _ in grid))
-    batch = extract_relations_from_ode(cells, alpha)
-    assert batch == [extract_relation_from_ode(*cell, alpha) for cell in cells]
+    single = {cell: extract_relation_from_ode(*cell, alpha) for cell in cells}
+    for order in (cells[::2] + cells[1::2], cells[::-1]):
+        assert extract_relations_from_ode(order, alpha) == [single[cell] for cell in order]
     assert extract_relations_from_ode([], alpha) == []
-    # the base is built on the staircase of the windows, as the kappa route's
-    assert ode_exponential(alpha, [(6, 2), (2, 4)]).limits == (4, 4, 4, 2, 2, 2, 2)
-    with pytest.raises(ValueError):
-        ode_exponential(alpha, [])
 
 
 # ------------------------------------------------------- diagonal relations
@@ -345,7 +353,7 @@ def test_diagonal_relation_b_positive_homogeneous(c20):
     for (g, b, a) in [(7, 1, 3), (5, 1, 3), (7, 2, 4), (10, 3, 6), (8, 2, 5)]:
         r = extract_diagonal_relation(g, b, a, c20)
         if not r.poly.is_zero():
-            assert r.poly.homogeneous_degree() == a, (g, b, a)
+            assert weights(r.poly) == {a}, (g, b, a)
 
 
 def test_diagonal_matches_main_pipeline_when_aligned(q20, c20):
@@ -356,7 +364,7 @@ def test_diagonal_matches_main_pipeline_when_aligned(q20, c20):
         main = extract_relation(g, d, 0, q20, c20)
         diag = extract_diagonal_relation(g, 0, d, c20)
         assert not main.poly.is_zero()
-        mono, lead = main.poly.sorted_terms()[0]
+        mono, lead = leading_term(main.poly)
         ratio = diag.poly.coeff(mono) / lead
         assert ratio != 0 and diag.poly == main.poly.scale(ratio), g
 
