@@ -20,9 +20,15 @@ from math import comb, factorial
 
 from . import _EXPORTS
 from .exact import bernoulli_table
-from .series import BiSeries, UniSeries, binomial_series_coeffs
+from .series import (
+    BiSeries,
+    UniSeries,
+    _half_power_coeffs,
+    _over_common_den,
+    binomial_series_coeffs,
+)
 # re-exported, so ``tautrel.coeffs.build_q_table`` still names the builder
-from .tables import CTable, QTable, build_c_table, build_q_table  # noqa: F401
+from .tables import CTable, QTable, _add_convolution, build_c_table, build_q_table  # noqa: F401
 
 __all__ = [name for name, home in _EXPORTS.items() if home == "coeffs"]
 
@@ -48,38 +54,39 @@ def solve_series_ode(n_x: int, n_w: int) -> BiSeries:
     product F_l*F_{d-l} is formed once, for l <= d/2, with its weight
     doubled when l != d - l.  And multiplying by 1/(1 - d*x) is the O(n)
     recurrence out[k] = rhs[k] + d*out[k-1], not a dense product.
+
+    Every slice past F_0 has integer coefficients: F_1 = 1/(1 - x), and
+    the right side of F_d holds only integer weights and products of
+    slices F_1..F_(d-1); F_0 enters no product.  So the solve runs on
+    integer lists, each product an integer convolution with its weight
+    folded into one operand, and each alpha[k][d] = F_d[k]/d! is one
+    Fraction.
     """
     if n_x < 1 or n_w < 1:
         raise ValueError("orders must be >= 1")
     bern = bernoulli_table(n_x)
-    g0 = [_ZERO, _ZERO] + [
-        -bern[a] / (a * (a - 1)) for a in range(2, n_x + 1)
-    ]
-    slices: list[UniSeries] = [UniSeries("x", n_x, g0)]
+    terms = {(a, 0): -bern[a] / (a * (a - 1)) for a in range(2, n_x + 1) if bern[a]}
+    slices: list[list[int]] = [[]]  # F_0 enters no product
+    fact = 1
     for d in range(1, n_w + 1):
-        rhs = UniSeries.zero("x", n_x)
+        rhs = [0] * (n_x + 1)
         if d == 1:
-            rhs = UniSeries.from_terms("x", n_x, {0: Fraction(1)})
+            rhs[0] = 1
         for l in range(1, d // 2 + 1):
             weight = comb(d - 1, l) * l * (1 if 2 * l == d else 2)
-            rhs = rhs - (slices[l] * slices[d - l]).scale(Fraction(weight))
-        out = list(rhs.coeffs)
+            _add_convolution(rhs, [-weight * v for v in slices[l]], slices[d - l])
         for k in range(1, n_x + 1):
-            out[k] += d * out[k - 1]
-        slices.append(UniSeries("x", n_x, out))
-    terms = {
-        (k, j): v / factorial(j)
-        for j, s in enumerate(slices)
-        for k, v in enumerate(s.coeffs)
-        if v
-    }
+            rhs[k] += d * rhs[k - 1]
+        slices.append(rhs)
+        fact *= d
+        terms.update(((k, d), Fraction(v, fact)) for k, v in enumerate(rhs) if v)
     return BiSeries(("x", "w"), (n_x, n_w), terms)
 
 
-def _sqrt_shifted_coeffs(n: int) -> list[Fraction]:
-    """Coefficients of (-1 + sqrt(1+4w))/(2w) through w^n."""
-    sq = binomial_series_coeffs(Fraction(4), Fraction(1, 2), n + 1)
-    return [sq[j + 1] / 2 for j in range(n + 1)]
+def _sqrt_shifted_coeffs(n: int) -> list[int]:
+    """Coefficients of (-1 + sqrt(1+4w))/(2w) through w^n: integers."""
+    sq = _half_power_coeffs(1, 1, n + 1)[1]
+    return [v // 2 for v in sq[1:]]
 
 
 def _add_half_power_sum(
@@ -91,27 +98,27 @@ def _add_half_power_sum(
     n_w: int,
 ) -> None:
     """Add sign * sum_{1<=k<n_x} sum_{j<=k} x^(k+1) t[k][j] (-w)^j (1+4w)^(-j-k/2-s)
-    to ``terms``, through w^n_w.
+    to ``terms``, through w^n_w; no other part of a closed form reaches x^2.
 
-    The exponent repeats across (k, j), so each distinct one is expanded
-    once, with exact generalized-binomial series, and sliced.  A table
-    sized below n_x - 1 raises ValueError from its ``get``.
+    Every key (k+1, .) comes from row k alone, so each row is summed as
+    integer numerators over that row's common denominator, and becomes
+    Fractions once.  The powers of 1+4w are the integer series of
+    ``_half_power_coeffs``.  A table sized below n_x - 1 raises ValueError
+    from its ``get``.
     """
-    expansions: dict[Fraction, list[Fraction]] = {}
+    if n_x < 2:
+        return
+    powers = _half_power_coeffs(-(3 * (n_x - 1) + 2 * s), -(1 + 2 * s), n_w)
     for k in range(1, n_x):
-        for j in range(0, min(k, n_w) + 1):
-            tv = t.get(k, j)
-            if not tv:
-                continue
-            e = -(j + Fraction(k, 2) + s)
-            cs = expansions.get(e)
-            if cs is None:
-                cs = expansions[e] = binomial_series_coeffs(Fraction(4), e, n_w)
-            signed = -sign * tv if j % 2 else sign * tv
-            for m, bv in enumerate(cs[: n_w - j + 1]):
-                if bv:
-                    key = (k + 1, j + m)
-                    terms[key] = terms.get(key, _ZERO) + signed * bv
+        nums, den = _over_common_den([t.get(k, j) for j in range(min(k, n_w) + 1)])
+        acc = [0] * (n_w + 1)
+        for j, v in enumerate(nums):
+            if v:
+                v = -sign * v if j % 2 else sign * v
+                acc[j:] = [a + v * p for a, p in zip(acc[j:], powers[-(2 * j + k + 2 * s)])]
+        for i, v in enumerate(acc):
+            if v:
+                terms[(k + 1, i)] = Fraction(v, den)
 
 
 def expand_w_deriv_closed(q: QTable, n_x: int, n_w: int) -> BiSeries:
@@ -120,17 +127,16 @@ def expand_w_deriv_closed(q: QTable, n_x: int, n_w: int) -> BiSeries:
     (-1+sqrt(1+4w))/(2w) + x/(1+4w)
         + sum_{k>=1} sum_{j<=k} x^(k+1) q[k][j] (-w)^j (1+4w)^(-j-k/2-1)
 
-    expanded with exact generalized-binomial series for the half-integer
-    powers of 1+4w.
+    expanded with the exact integer series of the half-integer powers of
+    1+4w.
     """
     terms: dict[tuple[int, int], Fraction] = {}
     for j, v in enumerate(_sqrt_shifted_coeffs(n_w)):
         if v:
-            terms[(0, j)] = v
+            terms[(0, j)] = Fraction(v)
     if n_x >= 1:
-        for m, v in enumerate(binomial_series_coeffs(Fraction(4), Fraction(-1), n_w)):
-            if v:
-                terms[(1, m)] = v
+        for m in range(n_w + 1):
+            terms[(1, m)] = Fraction((-4) ** m)
     _add_half_power_sum(terms, q, 1, 1, n_x, n_w)
     return BiSeries(("x", "w"), (n_x, n_w), terms)
 
@@ -148,7 +154,7 @@ def expand_closed_form(c: CTable, n_x: int, n_w: int) -> BiSeries:
     a0 = _sqrt_shifted_coeffs(max(n_w - 1, 0))
     for j in range(min(len(a0), n_w)):
         if a0[j]:
-            terms[(0, j + 1)] = a0[j] / (j + 1)
+            terms[(0, j + 1)] = Fraction(a0[j], j + 1)
     if n_x >= 1:
         for m in range(1, n_w + 1):
             terms[(1, m)] = Fraction((-1) ** (m - 1) * 4 ** (m - 1), m)

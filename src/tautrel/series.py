@@ -42,6 +42,34 @@ def binomial_series_coeffs(c: Fraction, e: Fraction, order: int) -> list[Fractio
     return out
 
 
+def _half_power_coeffs(lo: int, hi: int, order: int) -> dict[int, list[int]]:
+    """Coefficients of (1 + 4v)^(h/2) through v^order, for every lo <= h <= hi.
+
+    4^k * C(h/2, k) is an integer for every integer h, so each power is a
+    list of ints.  Odd h start from (1 + 4v)^(-1/2), by
+    ``binomial_series_coeffs``, and even h from 1; every other power is a
+    factor (1 + 4v) or 1/(1 + 4v) away, each a two-term integer recurrence.
+    """
+    seeds = {0: [1] + [0] * order}
+    seeds[-1] = [int(v) for v in binomial_series_coeffs(Fraction(4), Fraction(-1, 2), order)]
+    out: dict[int, list[int]] = {}
+    for h, seed in seeds.items():
+        cs = seed
+        for up in range(h, hi + 1, 2):
+            if up > h:
+                cs = [cs[0]] + [cs[k] + 4 * cs[k - 1] for k in range(1, order + 1)]
+            if up >= lo:
+                out[up] = cs
+        cs = seed
+        for down in range(h - 2, lo - 1, -2):
+            cs = list(cs)
+            for k in range(1, order + 1):
+                cs[k] -= 4 * cs[k - 1]
+            if down <= hi:
+                out[down] = cs
+    return out
+
+
 class UniSeries:
     """Series sum_{k<=order} coeffs[k] * var^k, dense coefficient list."""
 
@@ -128,11 +156,6 @@ class UniSeries:
             s = sum(m * a[m] * e[k - m] for m in range(1, k + 1))
             e[k] = Fraction(s, k)
         return UniSeries(self.var, n, e)
-
-    def truncate(self, order: int) -> "UniSeries":
-        if order > self.order:
-            raise ValueError("cannot truncate to a larger order")
-        return UniSeries(self.var, order, self.coeffs[: order + 1])
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)

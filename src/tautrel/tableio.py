@@ -55,12 +55,16 @@ def _rows_to_csv(kind: str, rows: list[tuple]) -> str:
 
 
 def _rows_to_json(kind: str, k_max: int, rows: list[tuple]) -> str:
-    import json
+    """Compact JSON, as ``json.dumps`` with separators (",", ":") writes it.
 
-    return json.dumps(
-        {"table": kind, "k_max": k_max, "entries": [list(r) for r in rows]},
-        separators=(",", ":"),
+    Written by hand, so ``coeffs`` never imports ``json``: each row is its
+    integer indices and one value string, a rational in canonical form,
+    which holds no character JSON escapes.
+    """
+    entries = ",".join(
+        "[" + "".join(f"{i}," for i in r[:-1]) + f'"{r[-1]}"]' for r in rows
     )
+    return f'{{"table":"{kind}","k_max":{k_max},"entries":[{entries}]}}'
 
 
 # ---------------------------------------------------------------------------

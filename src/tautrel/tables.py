@@ -102,17 +102,24 @@ def build_q_table(k_max: int) -> QTable:
 def build_c_table(q: QTable) -> CTable:
     """Solve q[k][j] = (2k+4j)*c[k][j] + (j+1)*c[k][j+1] downward in j.
 
-    The boundary c[k][k+1] = 0 makes j = k the well-posed starting point:
-    c[k][k] = q[k][k]/(6k), then descend.  Divisors 2k+4j are positive
-    for every k >= 1.
+    The boundary c[k][k+1] = 0 makes j = k the well-posed starting point,
+    c[k][k] = q[k][k]/(6k).  Each row descends on a running integer
+    numerator n and denominator d of c[k][j+1], starting from 0/1:
+
+        n <- q[k][j]*d - (j+1)*n,    d <- d*(2k+4j)
+
+    and the Fraction built for c[k][j] hands back n and d in lowest terms,
+    so each value costs one gcd.  Divisors 2k+4j are positive for k >= 1.
     """
     if q.k_max < 1:
         raise ValueError("need q table with k_max >= 1")
     rows: list[tuple[Fraction, ...]] = []
     for k in range(1, q.k_max + 1):
+        qk = q.rows[k]
         row = [_ZERO] * (k + 1)
-        row[k] = Fraction(q.get(k, k), 6 * k)
-        for j in range(k - 1, -1, -1):
-            row[j] = Fraction(q.get(k, j) - (j + 1) * row[j + 1], 2 * k + 4 * j)
+        n, d = 0, 1
+        for j in range(k, -1, -1):
+            v = row[j] = Fraction(qk[j] * d - (j + 1) * n, d * (2 * k + 4 * j))
+            n, d = v.numerator, v.denominator
         rows.append(tuple(row))
     return CTable(q.k_max, tuple(rows))

@@ -407,6 +407,67 @@ def ref_q_rows(k_max):
     return tuple(tuple(r) for r in rows)
 
 
+def ref_c_rows(q_rows):
+    """Rows of the c triangle (row k - 1 holds c[k][0..k]) from the q rows.
+
+    Solves q[k][j] = (2k+4j)*c[k][j] + (j+1)*c[k][j+1] downward from
+    c[k][k+1] = 0, one Fraction operation at a time.
+    """
+    rows = []
+    for k in range(1, len(q_rows)):
+        row = [Fraction(0)] * (k + 2)
+        for j in range(k, -1, -1):
+            row[j] = (q_rows[k][j] - (j + 1) * row[j + 1]) / (2 * k + 4 * j)
+        rows.append(tuple(row[: k + 1]))
+    return tuple(rows)
+
+
+def _ref_half_power_sum(terms, rows, s, sign, n_x, n_w):
+    """Add sign * sum_{1<=k<n_x} sum_{j<=k} x^(k+1) rows[k][j] (-w)^j
+    (1+4w)^(-j-k/2-s) to terms, one coefficient at a time."""
+    for k in range(1, n_x):
+        for j in range(min(k, n_w) + 1):
+            for m in range(n_w - j + 1):
+                e = -j - Fraction(k, 2) - s
+                v = sign * rows[k][j] * (-1) ** j * _binomial_series_coeff(e, m) * 4**m
+                terms[(k + 1, j + m)] = terms.get((k + 1, j + m), Fraction(0)) + v
+
+
+def ref_closed_form(c_rows, n_x, n_w):
+    """{(i, j): nonzero coefficient} of the closed form of the ODE solution.
+
+    F(0,w) + (x/4)*ln(1+4w) - sum x^(k+1) c[k][j] (-w)^j (1+4w)^(-j-k/2),
+    F(0,w) the antiderivative of (-1+sqrt(1+4w))/(2w); c_rows as
+    ``ref_c_rows`` returns them.
+    """
+    terms = {}
+    for j in range(1, n_w + 1):
+        # [w^(j-1)] (-1+sqrt(1+4w))/(2w), integrated once
+        terms[(0, j)] = _binomial_series_coeff(Fraction(1, 2), j) * 4**j / 2 / j
+    if n_x >= 1:
+        for m in range(1, n_w + 1):
+            terms[(1, m)] = Fraction((-4) ** m, -4 * m)
+    rows = [None] + [list(r) for r in c_rows]
+    _ref_half_power_sum(terms, rows, 0, -1, n_x, n_w)
+    return {k: v for k, v in terms.items() if v}
+
+
+def ref_w_deriv_closed(q_rows, n_x, n_w):
+    """{(i, j): nonzero coefficient} of the closed form of F_w.
+
+    (-1+sqrt(1+4w))/(2w) + x/(1+4w)
+        + sum x^(k+1) q[k][j] (-w)^j (1+4w)^(-j-k/2-1)
+    """
+    terms = {}
+    for j in range(n_w + 1):
+        terms[(0, j)] = _binomial_series_coeff(Fraction(1, 2), j + 1) * 4 ** (j + 1) / 2
+    if n_x >= 1:
+        for m in range(n_w + 1):
+            terms[(1, m)] = _binomial_series_coeff(Fraction(-1), m) * 4**m
+    _ref_half_power_sum(terms, q_rows, 1, 1, n_x, n_w)
+    return {k: v for k, v in terms.items() if v}
+
+
 # ------------------------------------------------------------ test-only helpers
 #
 # Series helpers that only the tests use.  They take a tautrel BiSeries

@@ -23,7 +23,13 @@ from tautrel import (
 )
 from tautrel import coeffs
 
-from oracles import ref_q_rows, ref_solve_series_ode
+from oracles import (
+    ref_c_rows,
+    ref_closed_form,
+    ref_q_rows,
+    ref_solve_series_ode,
+    ref_w_deriv_closed,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -81,6 +87,10 @@ def test_c_table_vanishes_above_diagonal():
         c.get(0, 0)
     with pytest.raises(ValueError):
         c.get(5, 0)
+
+
+def test_c_table_matches_fraction_descent(q60, c60):
+    assert c60.rows == ref_c_rows(q60.rows)
 
 
 def test_c_column_zero_is_bernoulli(q20, c20):
@@ -143,6 +153,12 @@ def test_closed_forms_match_ode_solution(q20, c20):
     assert expand_closed_form(c20, 10, 9) == a
     gw = expand_w_deriv_closed(q20, 10, 9)
     assert gw.truncate((10, 8)) == a.derivative(1)
+
+
+@pytest.mark.parametrize("orders", [(12, 12), (12, 5), (5, 12), (2, 1), (1, 3)])
+def test_closed_forms_match_binomial_oracle(q20, c20, orders):
+    assert expand_closed_form(c20, *orders).coeffs == ref_closed_form(c20.rows, *orders)
+    assert expand_w_deriv_closed(q20, *orders).coeffs == ref_w_deriv_closed(q20.rows, *orders)
 
 
 def test_closed_forms_demand_big_enough_tables():

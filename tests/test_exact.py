@@ -6,6 +6,8 @@ import pytest
 
 from tautrel import bernoulli_table
 
+from oracles import ref_bernoulli
+
 
 def test_rational_arithmetic_examples():
     assert Fraction(1, 12) + Fraction(5, 6) == Fraction(11, 12)
@@ -47,6 +49,14 @@ def test_bernoulli_odd_vanish_and_convolution():
     assert all(b[2 * n + 1] == 0 for n in range(1, 15))
     for n in range(1, 30):
         assert sum(comb(n + 1, j) * b[j] for j in range(n + 1)) == 0
+
+
+def test_bernoulli_table_matches_convolution_oracle():
+    # every size from the edges n = 0, 1, 2 up: the tangent numbers run to
+    # n // 2, and B_1 is the one odd value that is not zero
+    ref = tuple(ref_bernoulli(120))
+    for n in range(121):
+        assert bernoulli_table(n) == ref[: n + 1], n
 
 
 def test_bernoulli_out_of_range():

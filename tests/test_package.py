@@ -172,6 +172,14 @@ def test_coeffs_q_does_not_load_tautring():
         assert not {"tautrel.tautring", "tautrel.series"} & mods, table
 
 
+@pytest.mark.parametrize("table", ["q", "p"])
+def test_coeffs_json_loads_no_json(table):
+    # the table writer spells its JSON out itself
+    rc, mods = loaded_by("coeffs", "--table", table, "--max-k", "4", "--format", "json")
+    assert rc == 0
+    assert "json" not in mods
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tautrel import BiSeries, UniSeries, binomial_series_coeffs
+from tautrel.series import _half_power_coeffs
 
 from oracles import bi_exp, coeff_via_change_of_vars, ref_bi_mul, ref_uni_mul
 
@@ -159,6 +160,14 @@ def test_binomial_series_exponents_add():
             b = UniSeries("u", 6, binomial_series_coeffs(F(4), e2, 6))
             c = UniSeries("u", 6, binomial_series_coeffs(F(4), e1 + e2, 6))
             assert a * b == c
+
+
+def test_half_powers_are_the_binomial_series():
+    powers = _half_power_coeffs(-60, 4, 20)
+    assert sorted(powers) == list(range(-60, 5))
+    for h, cs in powers.items():
+        assert all(type(v) is int for v in cs)
+        assert cs == binomial_series_coeffs(F(4), F(h, 2), 20), h
 
 
 def test_binomial_series_integer_exponent_matches_expansion():
