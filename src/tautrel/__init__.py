@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 # names, from which each submodule reads its __all__
 _EXPORTS = {
     "bernoulli_table": "exact",
-    **dict.fromkeys(("BiSeries", "UniSeries", "binomial_series_coeffs"), "series"),
+    **dict.fromkeys(("BiSeries", "UniSeries"), "series"),
     **dict.fromkeys(("CTable", "QTable", "build_c_table", "build_q_table"), "tables"),
     **dict.fromkeys(
         (

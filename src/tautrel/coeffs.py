@@ -20,13 +20,7 @@ from math import comb, factorial
 
 from . import _EXPORTS
 from .exact import bernoulli_table
-from .series import (
-    BiSeries,
-    UniSeries,
-    _half_power_coeffs,
-    _over_common_den,
-    binomial_series_coeffs,
-)
+from .series import BiSeries, UniSeries, _half_power_coeffs, _over_common_den
 # re-exported, so ``tautrel.coeffs.build_q_table`` still names the builder
 from .tables import CTable, QTable, _add_convolution, build_c_table, build_q_table  # noqa: F401
 
@@ -213,35 +207,37 @@ def ode_check_failures(q: QTable, c: CTable, n: int) -> tuple[str, list[str]]:
 
 
 def q_functional_equation_residual(q: QTable, n_x: int, n_u: int) -> BiSeries:
-    """Residual of Q = 1 + x*sqrt(1+4u)*((1+4u)*(uQ)_u + u*Q**2).
+    """Residual of Q = 1 + x*sqrt(1+4u)*((1+4u)*(uQ)_u + u*Q**2), through (n_x, n_u).
 
-    Q is assembled from the integer triangle as
-    sum_k x^k (1+4u)^(k/2) sum_{j<=k} q[k][j] u^j, at a working u-order
-    two above the requested one so every derivative/shift stays exact.
+    Row k of Q is (1+4u)^(k/2) * sum_{j<=k} q[k][j] u^j, an integer series
+    from ``_half_power_coeffs``.  Row k of the right side reads only the
+    rows of Q below k, and its u^t coefficient only their terms through
+    u^t, so every row is exact through u^n_u on integer lists.
     """
     if q.k_max < n_x:
         raise ValueError(f"q table sized {q.k_max}, need {n_x}")
-    m = n_u + 2
-    vars_xu = ("x", "u")
-    terms: dict[tuple[int, int], Fraction] = {}
+    n = n_u + 1
+    powers = _half_power_coeffs(0, max(n_x, 1), n_u)
+    rows: list[list[int]] = []
+    terms: dict[tuple[int, int], int] = {}
     for k in range(n_x + 1):
-        pre = binomial_series_coeffs(Fraction(4), Fraction(k, 2), m)
-        for j in range(0, min(k, m) + 1):
-            qv = q.get(k, j)
-            if not qv:
-                continue
-            for t, pv in enumerate(pre):
-                if pv and j + t <= m:
-                    key = (k, j + t)
-                    terms[key] = terms.get(key, _ZERO) + qv * pv
-    qq = BiSeries(vars_xu, (n_x, m), terms)
-    uq_du = qq.shift(1, 1).derivative(1)
-    one4u = BiSeries(vars_xu, (n_x, m), {(0, 0): Fraction(1), (0, 1): Fraction(4)})
-    inner = one4u * uq_du + (qq * qq).shift(1, 1).truncate((n_x, m))
-    sqrt = binomial_series_coeffs(Fraction(4), Fraction(1, 2), m)
-    root = BiSeries(vars_xu, (n_x, m), {(0, t): v for t, v in enumerate(sqrt)})
-    rhs = (root * inner).shift(0, 1).truncate((n_x, m)) + BiSeries.one(vars_xu, (n_x, m))
-    return (qq - rhs).truncate((n_x, n_u))
+        row = [0] * n
+        _add_convolution(row, powers[k], q.rows[k])
+        rhs = [0] * n
+        if k == 0:
+            rhs[0] = 1
+        else:
+            # (1+4u)*(uQ)_u + u*Q**2 on row k - 1, then times sqrt(1+4u)
+            prev, sq = rows[-1], [0] * n
+            for m in range(k):
+                _add_convolution(sq, rows[m], rows[k - 1 - m])
+            inner = [prev[0]] + [
+                (t + 1) * prev[t] + 4 * t * prev[t - 1] + sq[t - 1] for t in range(1, n)
+            ]
+            _add_convolution(rhs, powers[1], inner)
+        rows.append(row)
+        terms.update(((k, t), a - b) for t, (a, b) in enumerate(zip(row, rhs)) if a != b)
+    return BiSeries(("x", "u"), (n_x, n_u), terms)
 
 
 def diag_ode_residual(q: QTable, k_max: int) -> UniSeries:
@@ -250,21 +246,21 @@ def diag_ode_residual(q: QTable, k_max: int) -> UniSeries:
     The inhomogeneous 5z**2 comes out of the change of variables that
     produces this equation (and is what the integrating-factor recursion
     6(k+1)p_{k+1} = (6k+1)(6k+5)p_k needs); without it the equation has
-    only the zero solution.
+    only the zero solution.  D and the residual are integer lists through
+    z^(k_max+1).
     """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     if q.k_max < k_max:
         raise ValueError(f"q table sized {q.k_max}, need {k_max}")
     n = k_max + 1
-    d = UniSeries.from_terms(
-        "z", n, {k + 1: Fraction(q.get(k, k)) for k in range(1, k_max + 1)}
-    )
-    dd = d.coeffs
-    z2dp = [_ZERO] * (n + 1)
-    for k in range(1, n + 1):
-        z2dp[k] = Fraction(6 * (k - 1)) * dd[k - 1]
-    t1 = UniSeries("z", n, z2dp)
-    inhom = UniSeries.from_terms("z", n, {2: Fraction(5)})
-    return d - t1 - d * d - inhom
+    d = [0, 0] + [q.rows[k][k] for k in range(1, n)]
+    rhs = [0] * (n + 1)
+    _add_convolution(rhs, d, d)
+    rhs[2] += 5
+    for t in range(2, n + 1):
+        rhs[t] += 6 * (t - 1) * d[t - 1]
+    return UniSeries("z", n, [a - b for a, b in zip(d, rhs)])
 
 
 def genfunc_check(q: QTable, c: CTable, k_max: int) -> tuple[str, list[str]]:

@@ -8,7 +8,7 @@ between orders deliberately.  All values are immutable by convention.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from typing import Collection, Iterable, Iterator
 
 from . import _EXPORTS
@@ -26,32 +26,15 @@ def _over_common_den(values: Collection[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def binomial_series_coeffs(c: Fraction, e: Fraction, order: int) -> list[Fraction]:
-    """Coefficients of (1 + c*v)^e through v^order, for any rational exponent e.
-
-    The k-th coefficient is e(e-1)...(e-k+1)/k! * c^k, computed
-    incrementally so half-integer exponents stay exact.
-    """
-    c = Fraction(c)
-    e = Fraction(e)
-    out = [_ONE]
-    acc = _ONE
-    for k in range(1, order + 1):
-        acc = acc * (e - (k - 1)) / k * c
-        out.append(acc)
-    return out
-
-
 def _half_power_coeffs(lo: int, hi: int, order: int) -> dict[int, list[int]]:
     """Coefficients of (1 + 4v)^(h/2) through v^order, for every lo <= h <= hi.
 
     4^k * C(h/2, k) is an integer for every integer h, so each power is a
-    list of ints.  Odd h start from (1 + 4v)^(-1/2), by
-    ``binomial_series_coeffs``, and even h from 1; every other power is a
-    factor (1 + 4v) or 1/(1 + 4v) away, each a two-term integer recurrence.
+    list of ints.  Odd h start from (1 + 4v)^(-1/2), whose coefficients are
+    (-1)^k * C(2k, k), and even h from 1; every other power is a factor
+    (1 + 4v) or 1/(1 + 4v) away, each a two-term integer recurrence.
     """
-    seeds = {0: [1] + [0] * order}
-    seeds[-1] = [int(v) for v in binomial_series_coeffs(Fraction(4), Fraction(-1, 2), order)]
+    seeds = {0: [1] + [0] * order, -1: [(-1) ** k * comb(2 * k, k) for k in range(order + 1)]}
     out: dict[int, list[int]] = {}
     for h, seed in seeds.items():
         cs = seed

@@ -389,8 +389,10 @@ def test_verify_fails_on_one_wrong_c_entry(capsys, monkeypatch, suite):
 
 
 def test_orders_too_small_for_the_table_exit_2():
-    # the ode and crosscheck suites need an order of 2; the alpha table 1
+    # the ode and crosscheck suites need an order of 2; genfunc and the
+    # alpha table 1
     for argv in (
+        ["verify", "--suite", "genfunc", "--order", "0"],
         ["verify", "--suite", "ode", "--order", "1"],
         ["verify", "--suite", "crosscheck", "--order", "1"],
         ["verify", "--suite", "all", "--order", "1"],

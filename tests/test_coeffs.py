@@ -13,6 +13,7 @@ from tautrel import (
     diag_ode_residual,
     expand_closed_form,
     expand_w_deriv_closed,
+    genfunc_check,
     ode_check_failures,
     ode_residual,
     p_series,
@@ -198,8 +199,32 @@ def test_q_functional_equation(q20):
     assert q_functional_equation_residual(q20, 8, 8).is_zero()
 
 
+def _bumped(q, k, j):
+    rows = [list(r) for r in q.rows]
+    rows[k][j] += 1
+    return QTable(q.k_max, tuple(tuple(r) for r in rows))
+
+
+@pytest.mark.parametrize("k, j", [(5, 2), (12, 0), (12, 12)])
+def test_q_functional_equation_sees_one_wrong_entry(q20, k, j):
+    assert not q_functional_equation_residual(_bumped(q20, k, j), 12, 12).is_zero()
+
+
 def test_diag_ode(q20):
     assert diag_ode_residual(q20, 20).is_zero()
+
+
+@pytest.mark.parametrize("k", [12, 13])
+def test_diag_ode_sees_one_wrong_diagonal_entry(q20, k):
+    assert not diag_ode_residual(_bumped(q20, k, k), 20).is_zero()
+
+
+def test_diagonal_checks_refuse_order_zero():
+    q = build_q_table(1)
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        diag_ode_residual(q, 0)
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        genfunc_check(q, build_c_table(q), 0)
 
 
 def test_remark_identity(q20):

@@ -1,14 +1,21 @@
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tautrel import BiSeries, UniSeries, binomial_series_coeffs
+from tautrel import BiSeries, UniSeries
 from tautrel.series import _half_power_coeffs
 
-from oracles import bi_exp, coeff_via_change_of_vars, ref_bi_mul, ref_uni_mul
+from oracles import (
+    _binomial_series_coeff,
+    bi_exp,
+    coeff_via_change_of_vars,
+    ref_bi_mul,
+    ref_uni_mul,
+)
 
 XU = ("x", "u")
 
@@ -144,22 +151,13 @@ def test_dump_format():
     assert p.dump() == "0 0 1/2\n1 0 -4\n1 2 3"
 
 
-# ------------------------------------------------- generalized binomial pow
+# ------------------------------------------------------ half powers of 1+4v
 
-def test_binomial_series_examples():
-    assert binomial_series_coeffs(F(4), F(1, 2), 2) == [F(1), F(2), F(-2)]
-    assert binomial_series_coeffs(F(4), F(0), 2) == [F(1), F(0), F(0)]
-    assert binomial_series_coeffs(F(4), F(-1), 2) == [F(1), F(-4), F(16)]
-
-
-def test_binomial_series_exponents_add():
-    exps = [F(1, 2), F(-1, 2), F(3, 2), F(-2), F(5)]
-    for e1 in exps:
-        for e2 in exps:
-            a = UniSeries("u", 6, binomial_series_coeffs(F(4), e1, 6))
-            b = UniSeries("u", 6, binomial_series_coeffs(F(4), e2, 6))
-            c = UniSeries("u", 6, binomial_series_coeffs(F(4), e1 + e2, 6))
-            assert a * b == c
+def test_half_power_seed_is_signed_central_binomial():
+    # (1+4v)^(-1/2) = sum (-1)^k C(2k, k) v^k, the seed of every odd power
+    central = [factorial(2 * k) // factorial(k) ** 2 for k in range(21)]
+    assert _half_power_coeffs(-1, -1, 20)[-1] == [(-1) ** k * c for k, c in enumerate(central)]
+    assert _half_power_coeffs(-1, -1, 4)[-1] == [1, -2, 6, -20, 70]
 
 
 def test_half_powers_are_the_binomial_series():
@@ -167,13 +165,7 @@ def test_half_powers_are_the_binomial_series():
     assert sorted(powers) == list(range(-60, 5))
     for h, cs in powers.items():
         assert all(type(v) is int for v in cs)
-        assert cs == binomial_series_coeffs(F(4), F(h, 2), 20), h
-
-
-def test_binomial_series_integer_exponent_matches_expansion():
-    # (1+4u)^3 has the plain binomial coefficients
-    cs = binomial_series_coeffs(F(4), F(3), 4)
-    assert cs == [F(1), F(12), F(48), F(64), F(0)]
+        assert cs == [_binomial_series_coeff(F(h, 2), k) * 4**k for k in range(21)], h
 
 
 # ------------------------------------------------------- change of variables
