@@ -1,8 +1,9 @@
 """Truncated formal power series over exact rationals, in one or two variables.
 
-Truncation orders are explicit and checked on every binary operation;
-there is no silent order coercion.  Use ``truncate``/``shift`` to move
-between orders deliberately.  All values are immutable by convention.
+Truncation orders are explicit, and a product of series in other variables
+or at other orders raises ValueError.  All values are immutable by
+convention.  The checks in ``tautrel.coeffs`` run on integer rows
+(``BiSeries._integer_rows``), so there is no sum, derivative or truncation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .tables import _add_convolution
 __all__ = [name for name, home in _EXPORTS.items() if home == "series"]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _over_common_den(values: Collection[Fraction]) -> tuple[list[int], int]:
@@ -69,10 +69,6 @@ class UniSeries:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def zero(cls, var: str, order: int) -> "UniSeries":
-        return cls(var, order, [_ZERO] * (order + 1))
-
-    @classmethod
     def from_terms(cls, var: str, order: int, terms: dict[int, Fraction]) -> "UniSeries":
         cs = [_ZERO] * (order + 1)
         for k, v in terms.items():
@@ -102,22 +98,7 @@ class UniSeries:
             and self.coeffs == other.coeffs
         )
 
-    def __add__(self, other: "UniSeries") -> "UniSeries":
-        self._check(other)
-        return UniSeries(
-            self.var, self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other: "UniSeries") -> "UniSeries":
-        self._check(other)
-        return UniSeries(
-            self.var, self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def scale(self, r: Fraction) -> "UniSeries":
-        r = Fraction(r)
-        return UniSeries(self.var, self.order, [r * a for a in self.coeffs])
-
+    # no src/ caller: kept while bench/tracer.py TARGETS pins it
     def __mul__(self, other: "UniSeries") -> "UniSeries":
         """Exact product: one integer convolution over one denominator."""
         self._check(other)
@@ -134,7 +115,7 @@ class UniSeries:
             raise ValueError("exp requires zero constant term")
         n = self.order
         a = self.coeffs
-        e = [_ONE] + [_ZERO] * n
+        e = [Fraction(1)] + [_ZERO] * n
         for k in range(1, n + 1):
             s = sum(m * a[m] * e[k - m] for m in range(1, k + 1))
             e[k] = Fraction(s, k)
@@ -173,14 +154,6 @@ class BiSeries:
         self.orders = (n1, n2)
         self.coeffs = clean
 
-    @classmethod
-    def zero(cls, vars: tuple[str, str], orders: tuple[int, int]) -> "BiSeries":
-        return cls(vars, orders, {})
-
-    @classmethod
-    def one(cls, vars: tuple[str, str], orders: tuple[int, int]) -> "BiSeries":
-        return cls(vars, orders, {(0, 0): _ONE})
-
     def coeff(self, i: int, j: int) -> Fraction:
         n1, n2 = self.orders
         if not 0 <= i <= n1 or not 0 <= j <= n2:
@@ -203,23 +176,6 @@ class BiSeries:
             and self.coeffs == other.coeffs
         )
 
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, _ZERO) + v
-        return BiSeries(self.vars, self.orders, out)
-
-    def __sub__(self, other: "BiSeries") -> "BiSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "BiSeries":
-        return BiSeries(self.vars, self.orders, {k: -v for k, v in self.coeffs.items()})
-
-    def scale(self, r: Fraction) -> "BiSeries":
-        r = Fraction(r)
-        return BiSeries(self.vars, self.orders, {k: r * v for k, v in self.coeffs.items()})
-
     def _integer_rows(self) -> tuple[list[list[int]], int]:
         """Dense integer rows over one denominator: rows[i][j] * den == coeff(i, j)."""
         n1, n2 = self.orders
@@ -229,6 +185,7 @@ class BiSeries:
             rows[i][j] = v
         return rows, den
 
+    # no src/ caller: kept while bench/tracer.py TARGETS pins it
     def __mul__(self, other: "BiSeries") -> "BiSeries":
         """Exact product: row-by-row integer convolutions over one denominator."""
         self._check(other)
@@ -251,48 +208,6 @@ class BiSeries:
             if v
         }
         return BiSeries(self.vars, self.orders, terms)
-
-    def derivative(self, axis: int) -> "BiSeries":
-        """Formal derivative along axis 0 or 1; that order drops by one."""
-        n1, n2 = self.orders
-        if axis == 0:
-            orders = (max(n1 - 1, 0), n2)
-            terms = {
-                (i - 1, j): i * v for (i, j), v in self.coeffs.items() if i >= 1
-            }
-        elif axis == 1:
-            orders = (n1, max(n2 - 1, 0))
-            terms = {
-                (i, j - 1): j * v for (i, j), v in self.coeffs.items() if j >= 1
-            }
-        else:
-            raise ValueError("axis must be 0 or 1")
-        return BiSeries(self.vars, orders, terms)
-
-    def shift(self, axis: int, amount: int) -> "BiSeries":
-        """Multiply by var[axis]**amount; the truncation order grows to match."""
-        if amount < 0:
-            raise ValueError("shift amount must be >= 0")
-        n1, n2 = self.orders
-        if axis == 0:
-            orders = (n1 + amount, n2)
-            terms = {(i + amount, j): v for (i, j), v in self.coeffs.items()}
-        elif axis == 1:
-            orders = (n1, n2 + amount)
-            terms = {(i, j + amount): v for (i, j), v in self.coeffs.items()}
-        else:
-            raise ValueError("axis must be 0 or 1")
-        return BiSeries(self.vars, orders, terms)
-
-    def truncate(self, orders: tuple[int, int]) -> "BiSeries":
-        n1, n2 = orders
-        if n1 > self.orders[0] or n2 > self.orders[1]:
-            raise ValueError("cannot truncate to larger orders")
-        return BiSeries(
-            self.vars,
-            orders,
-            {(i, j): v for (i, j), v in self.coeffs.items() if i <= n1 and j <= n2},
-        )
 
     def is_zero(self) -> bool:
         return not self.coeffs

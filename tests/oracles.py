@@ -329,10 +329,11 @@ def mono_cmp(m1, m2):
 
 # ------------------------------------------------------------ series references
 #
-# Schoolbook list/dict-of-Fraction products, the unpaired q convolution
-# and the original O(n^3) ODE recurrence, for differential tests of the
-# integer products in tautrel.series and the paired solve in
-# tautrel.coeffs.  Nothing here calls tautrel.
+# Schoolbook list/dict-of-Fraction products, the unpaired q convolution,
+# the original O(n^3) ODE recurrence and the ODE residual term by term,
+# for differential tests of the integer products in tautrel.series and
+# the paired solve and integer residual in tautrel.coeffs.  Nothing here
+# calls tautrel.
 
 
 def ref_uni_mul(a, b):
@@ -468,6 +469,33 @@ def ref_w_deriv_closed(q_rows, n_x, n_w):
     return {k: v for k, v in terms.items() if v}
 
 
+def ref_ode_residual(f, orders):
+    """{(i, j): nonzero coefficient} of x*w*F_ww - w*F_w**2 - (1-x)*F_w + 1.
+
+    F is a {(i, j): Fraction} map through orders (n_x, n_w); the residual
+    is taken through (n_x, n_w - 1), each term written out on its own.
+    """
+    n_x, n_w = orders
+    window = (n_x, n_w - 1)
+    fw = {(i, j - 1): j * v for (i, j), v in f.items() if j >= 1}
+    fww = {(i, j - 1): j * v for (i, j), v in fw.items() if j >= 1}
+    out = {}
+
+    def add(i, j, v):
+        if i <= n_x and j <= n_w - 1:
+            out[(i, j)] = out.get((i, j), Fraction(0)) + v
+
+    for (i, j), v in fww.items():  # x*w*F_ww
+        add(i + 1, j + 1, v)
+    for (i, j), v in ref_bi_mul(fw, fw, window).items():  # -w*F_w**2
+        add(i, j + 1, -v)
+    for (i, j), v in fw.items():  # -(1-x)*F_w
+        add(i, j, -v)
+        add(i + 1, j, v)
+    add(0, 0, Fraction(1))
+    return {k: v for k, v in out.items() if v}
+
+
 # ------------------------------------------------------------ test-only helpers
 #
 # Series helpers that only the tests use.  They take a tautrel BiSeries
@@ -479,15 +507,15 @@ def bi_exp(s):
     if s.coeffs.get((0, 0)):
         raise ValueError("exp requires zero constant term")
     n1, n2 = s.orders
-    result = power = type(s).one(s.vars, s.orders)
+    result = power = {(0, 0): Fraction(1)}
     fact = 1
     for n in range(1, n1 + n2 + 1):
-        power = power * s
-        if not power.coeffs:
+        power = ref_bi_mul(power, s.coeffs, s.orders)
+        if not power:
             break
         fact *= n
-        result = result + power.scale(Fraction(1, fact))
-    return result
+        result = ref_add(result, {k: v / fact for k, v in power.items()})
+    return type(s)(s.vars, s.orders, result)
 
 
 def _binomial_series_coeff(e, m):

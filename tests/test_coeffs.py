@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from tautrel import coeffs
 from oracles import (
     ref_c_rows,
     ref_closed_form,
+    ref_ode_residual,
     ref_q_rows,
     ref_solve_series_ode,
     ref_w_deriv_closed,
@@ -130,6 +132,28 @@ def test_alpha_defining_equation_residual():
     assert ode_residual(a).is_zero()
 
 
+SOLVED_ORDERS = [(2, 2), (3, 2), (1, 3), (8, 8), (15, 8), (8, 15), (24, 24), (40, 40)]
+
+
+@pytest.mark.parametrize("orders", SOLVED_ORDERS)
+def test_ode_residual_matches_reference_on_solutions(orders):
+    a = solve_series_ode(*orders)
+    assert ode_residual(a).coeffs == ref_ode_residual(a.coeffs, orders) == {}
+
+
+@pytest.mark.parametrize("orders", SOLVED_ORDERS[:-1])
+def test_ode_residual_matches_reference_on_one_wrong_entry(orders):
+    a = solve_series_ode(*orders)
+    rng = random.Random(100 * orders[0] + orders[1])
+    for _ in range(3):
+        key = (rng.randint(0, orders[0]), rng.randint(0, orders[1]))
+        wrong = {**a.coeffs, key: a.coeff(*key) + F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 7))}
+        residual = ode_residual(BiSeries(a.vars, a.orders, wrong)).coeffs
+        assert residual == ref_ode_residual(wrong, orders), key
+        # F(x, 0) enters only through w-derivatives
+        assert (residual == {}) == (key[1] == 0), key
+
+
 def test_alpha_requires_positive_orders():
     with pytest.raises(ValueError):
         solve_series_ode(0, 4)
@@ -152,8 +176,8 @@ def test_closed_form_spot_values(c20):
 def test_closed_forms_match_ode_solution(q20, c20):
     a = solve_series_ode(10, 9)
     assert expand_closed_form(c20, 10, 9) == a
-    gw = expand_w_deriv_closed(q20, 10, 9)
-    assert gw.truncate((10, 8)) == a.derivative(1)
+    a_w = {(i, j - 1): j * v for (i, j), v in a.coeffs.items() if j}
+    assert expand_w_deriv_closed(q20, 10, 8).coeffs == a_w
 
 
 @pytest.mark.parametrize("orders", [(12, 12), (12, 5), (5, 12), (2, 1), (1, 3)])
@@ -269,9 +293,15 @@ def test_ode_check_failures_catch_one_wrong_alpha_entry(monkeypatch):
     q = build_q_table(7)
     c = build_c_table(q)
     good = solve_series_ode(8, 8)
-    v = good.coeff(3, 2)
-    wrong = BiSeries(good.vars, good.orders, {**good.coeffs, (3, 2): v + F(1, v.denominator)})
-    monkeypatch.setattr(coeffs, "solve_series_ode", lambda n_x, n_w: wrong)
-    _, failures = ode_check_failures(q, c, 8)
+
+    def failures_with_wrong(key):
+        v = good.coeff(*key)
+        wrong = BiSeries(good.vars, good.orders, {**good.coeffs, key: v + F(1, v.denominator)})
+        monkeypatch.setattr(coeffs, "solve_series_ode", lambda n_x, n_w: wrong)
+        return ode_check_failures(q, c, 8)[1]
+
+    failures = failures_with_wrong((3, 2))
     assert "nonzero residual in the defining equation" in failures
     assert "closed form differs from the solved series" in failures
+    # the residual and F_w read no w^0 coefficient: only the closed form sees it
+    assert failures_with_wrong((4, 0)) == ["closed form differs from the solved series"]
