@@ -21,8 +21,9 @@ from math import comb, factorial
 from . import _EXPORTS
 from .exact import bernoulli_table
 from .series import BiSeries, UniSeries, _half_power_coeffs, _over_common_den
+from .tables import CTable, QTable, _add_convolution, _add_symmetric_products
 # re-exported, so ``tautrel.coeffs.build_q_table`` still names the builder
-from .tables import CTable, QTable, _add_convolution, build_c_table, build_q_table  # noqa: F401
+from .tables import build_c_table, build_q_table  # noqa: F401
 
 __all__ = [name for name, home in _EXPORTS.items() if home == "coeffs"]
 
@@ -43,18 +44,15 @@ def solve_series_ode(n_x: int, n_w: int) -> BiSeries:
     1/(1 - d*x).  The d = 0 slice is the prescribed initial data
     F_0(x) = -sum_{a>=2} B_a/(a(a-1)) x^a.
 
-    Two identities keep the solve cheap.  The weights of l and d - l agree,
-    C(d-1,l)*l = C(d-1,d-l)*(d-l) = (d-1)!/((l-1)!(d-l-1)!), so each
-    product F_l*F_{d-l} is formed once, for l <= d/2, with its weight
-    doubled when l != d - l.  And multiplying by 1/(1 - d*x) is the O(n)
+    The weights of l and d - l agree, C(d-1,l)*l = C(d-1,d-l)*(d-l), as
+    ``_add_symmetric_products`` needs, and vanish at l = 0, so F_d is not
+    read before it exists.  Multiplying by 1/(1 - d*x) is the O(n)
     recurrence out[k] = rhs[k] + d*out[k-1], not a dense product.
 
     Every slice past F_0 has integer coefficients: F_1 = 1/(1 - x), and
     the right side of F_d holds only integer weights and products of
     slices F_1..F_(d-1); F_0 enters no product.  So the solve runs on
-    integer lists, each product an integer convolution with its weight
-    folded into one operand, and each alpha[k][d] = F_d[k]/d! is one
-    Fraction.
+    integer lists, and each alpha[k][d] = F_d[k]/d! is one Fraction.
     """
     if n_x < 1 or n_w < 1:
         raise ValueError("orders must be >= 1")
@@ -66,9 +64,7 @@ def solve_series_ode(n_x: int, n_w: int) -> BiSeries:
         rhs = [0] * (n_x + 1)
         if d == 1:
             rhs[0] = 1
-        for l in range(1, d // 2 + 1):
-            weight = comb(d - 1, l) * l * (1 if 2 * l == d else 2)
-            _add_convolution(rhs, [-weight * v for v in slices[l]], slices[d - l])
+        _add_symmetric_products(rhs, slices, d, lambda l: -comb(d - 1, l) * l)
         for k in range(1, n_x + 1):
             rhs[k] += d * rhs[k - 1]
         slices.append(rhs)
@@ -175,10 +171,8 @@ def ode_residual(f: BiSeries) -> BiSeries:
     that enters only through w-derivatives, so ``ode_check_failures``
     checks it against the closed form alone.
 
-    With G = den*F_w on integer rows, den**2 times the residual at x^i w^j
-    is den*((j+1)*G[i-1][j] - G[i][j]) - (G*G)[i][j-1], plus den**2 at
-    (0, 0).  Each product G[m]*G[i-m] in row i of G*G is formed once, for
-    m <= i/2, and doubled when m != i - m.
+    With G = den*F_w on integer rows, den**2 times the residual at x^i w^j is
+    den*((j+1)*G[i-1][j] - G[i][j]) - (G*G)[i][j-1], plus den**2 at (0, 0).
     """
     n_x, n_w = f.orders
     if n_w < 2:
@@ -190,8 +184,7 @@ def ode_residual(f: BiSeries) -> BiSeries:
     prev = [0] * n_w
     for i, cur in enumerate(g):
         sq = [0] * (n_w - 1)
-        for m in range(i // 2 + 1):
-            _add_convolution(sq, g[m] if 2 * m == i else [2 * v for v in g[m]], g[i - m])
+        _add_symmetric_products(sq, g, i)
         res = [den * ((j + 1) * p - v) - s for j, (p, v, s) in enumerate(zip(prev, cur, [0] + sq))]
         if i == 0:
             res[0] += den2
@@ -243,8 +236,7 @@ def q_functional_equation_residual(q: QTable, n_x: int, n_u: int) -> BiSeries:
         else:
             # (1+4u)*(uQ)_u + u*Q**2 on row k - 1, then times sqrt(1+4u)
             prev, sq = rows[-1], [0] * n
-            for m in range(k):
-                _add_convolution(sq, rows[m], rows[k - 1 - m])
+            _add_symmetric_products(sq, rows, k - 1)
             inner = [prev[0]] + [
                 (t + 1) * prev[t] + 4 * t * prev[t - 1] + sq[t - 1] for t in range(1, n)
             ]
@@ -325,7 +317,8 @@ def verify_coeff_identities(q: QTable, c: CTable, k_max: int) -> tuple[str, list
     Checks: positivity of the integer triangle, diagonal and subdiagonal
     ties between the two triangles, the Bernoulli closed form of column
     zero, both diagonal checks of ``genfunc_check``, the bivariate
-    functional equation through order min(k_max, 12), and the
+    functional equation through orders (k_max, min(k_max, 12)), blind only
+    to a table whose wrong entries all lie at u-degree j > 12, and the
     Bernoulli-sum identity.  Returns a summary with the number of checks
     and the failure messages, [] when all hold.
     """
@@ -355,8 +348,8 @@ def verify_coeff_identities(q: QTable, c: CTable, k_max: int) -> tuple[str, list
 
     n = min(k_max, 12)
     checked += 1
-    if not q_functional_equation_residual(q, n, n).is_zero():
-        failures.append(f"bivariate_functional_equation: nonzero residual through order {n}")
+    if not q_functional_equation_residual(q, k_max, n).is_zero():
+        failures.append(f"bivariate_functional_equation: nonzero residual through ({k_max}, {n})")
 
     failures += remark_identity_failures(q, bern, k_max)
     checked += k_max

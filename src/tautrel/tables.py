@@ -9,7 +9,7 @@ ODE they come from and its closed forms live in ``tautrel.coeffs``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import _EXPORTS
 
@@ -62,6 +62,20 @@ def _add_convolution(out: list[int], a: list[int], b: list[int]) -> None:
                 out[i + j] += x * y
 
 
+def _add_symmetric_products(
+    out: list[int], rows: list[list[int]], i: int, weight: Callable[[int], int] | None = None
+) -> None:
+    """out += sum_{m=0..i} w(m)*rows[m]*rows[i-m] through len(out), for w(m) = w(i-m).
+
+    The terms at m and i - m then agree, so each is formed once, for m <= i/2,
+    and doubled when m != i - m; a zero weight (w = 1 for None) forms nothing.
+    """
+    for m in range(i // 2 + 1):
+        w = (1 if weight is None else weight(m)) * (1 if 2 * m == i else 2)
+        if w:
+            _add_convolution(out, rows[m] if w == 1 else [w * v for v in rows[m]], rows[i - m])
+
+
 def build_q_table(k_max: int) -> QTable:
     """Fill the integer triangle from its quadratic recurrence.
 
@@ -70,20 +84,15 @@ def build_q_table(k_max: int) -> QTable:
 
     with q[0][0] = 1 and q vanishing outside 0 <= j <= k.  The double sum
     is the (k-1, j-1) entry of the 2-D self-convolution of the triangle,
-    assembled row by row from 1-D convolutions.
+    assembled row by row by ``_add_symmetric_products``.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     rows: list[list[int]] = [[1]]
     for k in range(1, k_max + 1):
         kk = k - 1
-        # conv_row[j] = sum_{m+m'=kk, l+l'=j} q[m][l]*q[m'][l']
-        # The sum is symmetric in m <-> kk - m: take m <= kk/2, doubling
-        # every pair but the middle one.
         conv_row = [0] * (kk + 1)
-        for m in range(kk // 2 + 1):
-            row_m = rows[m] if 2 * m == kk else [2 * v for v in rows[m]]
-            _add_convolution(conv_row, row_m, rows[kk - m])
+        _add_symmetric_products(conv_row, rows, kk)
         prev = rows[kk]
         row = []
         for j in range(k + 1):

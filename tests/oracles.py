@@ -220,11 +220,6 @@ def ref_staircase(windows):
     ]
 
 
-def as_poly_terms(poly):
-    """Terms of a library KappaPoly in the oracle's monomial convention."""
-    return {m: v for m, v in poly.terms.items()}
-
-
 # --------------------------------------------------------------- reference ring
 #
 # Plain {monomial: Fraction} polynomials for differential tests of the

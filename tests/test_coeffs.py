@@ -270,6 +270,20 @@ def test_verify_identities_medium(q20, c20):
     assert summary == "154 exact checks to k=12"
 
 
+def test_verify_identities_see_a_wrong_row_above_twelve():
+    # row 20 changes only at u-degrees 1 and 2, and keeps its Bernoulli-sum
+    # identity; the functional equation through u^12 still reaches row 20
+    q = build_q_table(24)
+    rows = [list(r) for r in q.rows]
+    rows[20][1] += 1
+    rows[20][2] += 24
+    wrong = QTable(q.k_max, tuple(tuple(r) for r in rows))
+    assert remark_identity_failures(wrong, bernoulli_table(25), 24) == []
+    summary, failures = verify_coeff_identities(wrong, build_c_table(wrong), 24)
+    assert summary == "448 exact checks to k=24"
+    assert failures == ["bivariate_functional_equation: nonzero residual through (24, 12)"]
+
+
 def test_verify_identities_rejects_bad_order(q20, c20):
     with pytest.raises(ValueError):
         verify_coeff_identities(q20, c20, 0)

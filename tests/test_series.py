@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tautrel import BiSeries, UniSeries, ode_residual
 from tautrel.series import _half_power_coeffs
+from tautrel.tables import _add_symmetric_products
 
 from oracles import (
     _binomial_series_coeff,
@@ -35,10 +36,13 @@ def random_biseries(rng, orders, density=0.4, zero_constant=False):
 
 # ---------------------------------------------------------------- UniSeries
 
-def test_uniseries_mul_and_exp():
+def test_uniseries_exp_example():
     x = UniSeries.from_terms("x", 3, {1: F(1)})
-    e = x.exp()
-    assert e.coeffs == (F(1), F(1), F(1, 2), F(1, 6))
+    assert x.exp().coeffs == (F(1), F(1), F(1, 2), F(1, 6))
+
+
+def test_uniseries_mul_example():
+    x = UniSeries.from_terms("x", 3, {1: F(1)})
     assert (x * x).coeffs == (0, 0, 1, 0)
 
 
@@ -70,7 +74,7 @@ def test_uniseries_exp_is_multiplicative():
         a = UniSeries("x", 6, [0] + [F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(6)])
         b = UniSeries("x", 6, [0] + [F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(6)])
         a_plus_b = UniSeries("x", 6, [u + v for u, v in zip(a.coeffs, b.coeffs)])
-        assert a_plus_b.exp() == a.exp() * b.exp()
+        assert a_plus_b.exp().coeffs == tuple(ref_uni_mul(a.exp().coeffs, b.exp().coeffs))
 
 
 # ----------------------------------------------------------------- BiSeries
@@ -135,7 +139,7 @@ def test_biseries_exp_additive():
         a = random_biseries(rng, (3, 3), zero_constant=True)
         b = random_biseries(rng, (3, 3), zero_constant=True)
         a_plus_b = BiSeries(XU, (3, 3), ref_add(a.coeffs, b.coeffs))
-        assert bi_exp(a_plus_b) == bi_exp(a) * bi_exp(b)
+        assert bi_exp(a_plus_b).coeffs == ref_bi_mul(bi_exp(a).coeffs, bi_exp(b).coeffs, (3, 3))
 
 
 def test_dump_format():
@@ -242,6 +246,41 @@ def test_products_of_mismatched_orders_raise(n, k):
         BiSeries(XU, (n, k), one) * BiSeries(XU, (n + 1, k), one)
     with pytest.raises(ValueError):
         BiSeries(XU, (n, k), one) * BiSeries(XU, (n, k + 1), one)
+
+
+@st.composite
+def symmetric_products(draw):
+    """(out, rows, i, w): integer rows[0..i] and a weight list with w[m] = w[i-m],
+    or None for weight 1; when w[0] = 0, rows[i] may be absent, as in the ODE solve."""
+    i = draw(st.integers(0, 8))
+    ints = st.one_of(st.just(0), st.integers(-(10**30), 10**30))
+    out = draw(st.lists(ints, max_size=8))
+    rows = [draw(st.lists(ints, max_size=7)) for _ in range(i + 1)]
+    kind = draw(st.sampled_from(["unweighted", "weighted", "last row absent"]))
+    if kind == "unweighted":
+        return out, rows, i, None
+    half = draw(st.lists(st.integers(-6, 6), min_size=i // 2 + 1, max_size=i // 2 + 1))
+    w = [half[min(m, i - m)] for m in range(i + 1)]
+    if kind == "last row absent":
+        w[0] = w[i] = 0
+        rows.pop()
+    return out, rows, i, w
+
+
+@SETTINGS
+@given(symmetric_products())
+def test_symmetric_products_match_double_loop(case):
+    out, rows, i, w = case
+    weights = [1] * (i + 1) if w is None else w
+    expected = list(out)
+    for m in range(i + 1):
+        if weights[m]:
+            for a, x in enumerate(rows[m]):
+                for b, y in enumerate(rows[i - m]):
+                    if a + b < len(expected):
+                        expected[a + b] += weights[m] * x * y
+    _add_symmetric_products(out, rows, i, None if w is None else w.__getitem__)
+    assert out == expected
 
 
 @st.composite
