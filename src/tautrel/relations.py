@@ -74,11 +74,10 @@ def faber_choose(g: int, a: int) -> FaberChoice:
             d = d_lo
             b = a + 2 * d - g - 1
             return FaberChoice(g=g, a=a, d=d, b=b, case_tag="b_large")
+    # b = a-g-1 (mod 2) makes g+1+b-a even, and a <= g-3+b (a = g-2 has
+    # the parity of g, so it takes b = 1) makes d >= 2
     b = (a - g - 1) % 2
-    d2 = g + 1 + b - a
-    d = d2 // 2
-    if d2 % 2 or d < 2:
-        raise ValueError(f"no valid (d, b) choice for (g={g}, a={a})")
+    d = (g + 1 + b - a) // 2
     return FaberChoice(g=g, a=a, d=d, b=b, case_tag=f"b{b}")
 
 

@@ -1,4 +1,5 @@
-"""The ``coeffs`` command: table rows, their CSV/JSON text and a disk cache.
+"""The ``coeffs`` command: each table as its CSV lines, written out as CSV or
+JSON, and a disk cache of those lines.
 
 The coefficient-table cache lives under a directory the caller names; a
 cached table built at a larger size serves any smaller request with
@@ -18,61 +19,54 @@ CACHE_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
-# table materialization: rows of (k, j, value) or (k, value) strings
+# the one row form: CSV lines "k,j,value" or "k,value", header first
 
-def _table_rows(kind: str, k_max: int) -> list[tuple]:
+def _table_lines(kind: str, k_max: int) -> list[str]:
     if kind == "bernoulli":
         from .exact import bernoulli_table
 
         b = bernoulli_table(k_max)
-        return [(k, str(b[k])) for k in range(k_max + 1)]
+        return ["k,value"] + [f"{k},{b[k]!s}" for k in range(k_max + 1)]
     if kind in ("q", "c"):
         from . import tables
 
-        q = tables.build_q_table(k_max)
-        if kind == "q":
-            return [(k, j, str(q.get(k, j))) for k in range(k_max + 1) for j in range(k + 1)]
-        c = tables.build_c_table(q)
-        return [(k, j, str(c.get(k, j))) for k in range(1, k_max + 1) for j in range(k + 1)]
+        t = tables.build_q_table(k_max)
+        if kind == "c":
+            t = tables.build_c_table(t)
+        return ["k,j,value"] + [
+            f"{k},{j},{t.get(k, j)!s}"
+            for k in range(1 if kind == "c" else 0, k_max + 1)
+            for j in range(k + 1)
+        ]
     from . import coeffs as co
 
     if kind == "alpha":
         a = co.solve_series_ode(k_max, k_max)
-        return [
-            (k, j, str(a.coeff(k, j)))
-            for k in range(k_max + 1)
-            for j in range(k_max + 1)
+        return ["k,j,value"] + [
+            f"{k},{j},{a.coeff(k, j)!s}" for k in range(k_max + 1) for j in range(k_max + 1)
         ]
     if kind == "p":
         p = co.p_series(k_max)
-        return [(k, str(p.coeff(k))) for k in range(k_max + 1)]
+        return ["k,value"] + [f"{k},{p.coeff(k)!s}" for k in range(k_max + 1)]
     raise ValueError(f"unknown table kind {kind!r}")
 
 
-def _rows_to_csv(kind: str, rows: list[tuple]) -> str:
-    header = "k,value" if kind in ("p", "bernoulli") else "k,j,value"
-    return "\n".join([header] + [",".join(str(x) for x in r) for r in rows])
-
-
-def _rows_to_json(kind: str, k_max: int, rows: list[tuple]) -> str:
+def _lines_to_json(kind: str, k_max: int, lines: list[str]) -> str:
     """Compact JSON, as ``json.dumps`` with separators (",", ":") writes it.
 
-    Written by hand, so ``coeffs`` never imports ``json``: each row is its
-    integer indices and one value string, a rational in canonical form,
-    which holds no character JSON escapes.
+    Written by hand, so ``coeffs`` never imports ``json``: each entry is a
+    row's integer indices and its value string, split off at the last
+    comma.  A rational in canonical form holds no comma and no character
+    JSON escapes.
     """
     entries = ",".join(
-        "[" + "".join(f"{i}," for i in r[:-1]) + f'"{r[-1]}"]' for r in rows
+        f'[{indices},"{value}"]' for indices, value in (line.rsplit(",", 1) for line in lines[1:])
     )
     return f'{{"table":"{kind}","k_max":{k_max},"entries":[{entries}]}}'
 
 
 # ---------------------------------------------------------------------------
-# disk cache: the CSV dump itself behind one metadata line
-
-def _cache_path(cache_dir: Path, kind: str, k_max: int) -> Path:
-    return cache_dir / f"{kind}-{k_max}.csv"
-
+# disk cache: the CSV lines themselves behind one metadata line
 
 def _cache_meta(kind: str, k_max: int, body: bytes) -> bytes:
     """Metadata line that pins the body: its row count and its sha256."""
@@ -88,15 +82,15 @@ def _cache_meta(kind: str, k_max: int, body: bytes) -> bytes:
     ).encode()
 
 
-def _cache_save(cache_dir: Path, kind: str, k_max: int, rows: list[tuple]) -> None:
+def _cache_save(cache_dir: Path, kind: str, k_max: int, lines: list[str]) -> None:
     """Write the table beside its final name, then rename it into place.
 
     The rename is atomic, so a reader sees the old file or the whole new
     one, never a partial write.
     """
     cache_dir.mkdir(parents=True, exist_ok=True)
-    body = (_rows_to_csv(kind, rows) + "\n").encode()
-    path = _cache_path(cache_dir, kind, k_max)
+    body = ("\n".join(lines) + "\n").encode()
+    path = cache_dir / f"{kind}-{k_max}.csv"
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(_cache_meta(kind, k_max, body) + body)
@@ -107,8 +101,9 @@ def _cache_save(cache_dir: Path, kind: str, k_max: int, rows: list[tuple]) -> No
         raise
 
 
-def _cache_load(cache_dir: Path, kind: str, k_max: int) -> list[tuple] | None:
-    """Smallest cached table of this kind with k_max >= requested, truncated.
+def _cache_load(cache_dir: Path, kind: str, k_max: int) -> list[str] | None:
+    """Smallest cached table of this kind with k_max >= requested: its
+    header and the lines whose index fields are all at most k_max.
 
     A file of another version is a silent miss.  A file whose metadata
     line does not match its name and body (kind, k_max, row count and
@@ -136,40 +131,27 @@ def _cache_load(cache_dir: Path, kind: str, k_max: int) -> list[tuple] | None:
         with contextlib.suppress(OSError):
             path.unlink()
         return None
-    rows: list[tuple] = []
-    for line in body.decode().splitlines()[1:]:  # skip the header
-        parts = line.split(",")
-        if len(parts) == 3:
-            k, j, v = int(parts[0]), int(parts[1]), parts[2]
-            if k <= k_max and j <= k_max:
-                rows.append((k, j, v))
-        elif len(parts) == 2:
-            k, v = int(parts[0]), parts[1]
-            if k <= k_max:
-                rows.append((k, v))
-    return rows
+    header, *rows = body.decode().splitlines()
+    return [header] + [line for line in rows if max(map(int, line.split(",")[:-1])) <= k_max]
 
 
 def emit_table(kind: str, k_max: int, fmt: str, cache_dir: str | None) -> int:
     """Print one table as json or csv, through the cache in ``cache_dir`` if
     set; exit code 2 when the cache cannot be read or written."""
-    rows = None
+    lines = None
     if cache_dir:
         try:
-            rows = _cache_load(Path(cache_dir), kind, k_max)
+            lines = _cache_load(Path(cache_dir), kind, k_max)
         except OSError as exc:
             print(f"error: cache unreadable: {exc}", file=sys.stderr)
             return 2
-    if rows is None:
-        rows = _table_rows(kind, k_max)
+    if lines is None:
+        lines = _table_lines(kind, k_max)
         if cache_dir:
             try:
-                _cache_save(Path(cache_dir), kind, k_max, rows)
+                _cache_save(Path(cache_dir), kind, k_max, lines)
             except OSError as exc:
                 print(f"error: cache unwritable: {exc}", file=sys.stderr)
                 return 2
-    if fmt == "csv":
-        print(_rows_to_csv(kind, rows))
-    else:
-        print(_rows_to_json(kind, k_max, rows))
+    print("\n".join(lines) if fmt == "csv" else _lines_to_json(kind, k_max, lines))
     return 0

@@ -124,6 +124,61 @@ def test_truncated_cache_is_recomputed_not_served(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["q-10.csv"]
 
 
+_Q10 = ("coeffs", "--table", "q", "--max-k", "10")
+
+
+def test_cache_of_another_version_is_a_silent_miss(tmp_path, capsys):
+    _, cold = run(capsys, *_Q10)
+    run(capsys, *_Q10, "--cache-dir", str(tmp_path))
+    path = tmp_path / "q-10.csv"
+    written = path.read_bytes()
+    meta, _, body = written.partition(b"\n")
+    assert b" version=2 " in meta
+    path.write_bytes(meta.replace(b" version=2 ", b" version=1 ") + b"\n" + body)
+    code = main([*_Q10, "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, cold, "")
+    assert path.read_bytes() == written
+
+
+def test_cache_file_without_a_size_is_skipped(tmp_path, capsys):
+    _, cold = run(capsys, *_Q10)
+    (tmp_path / "q-x.csv").write_text("not a table\n")
+    code = main([*_Q10, "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, cold, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["q-10.csv", "q-x.csv"]
+
+
+def test_unreadable_cache_exits_2(tmp_path, capsys):
+    (tmp_path / "q-10.csv").mkdir()
+    code = main([*_Q10, "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: cache unreadable")
+
+
+def test_cache_dir_that_is_a_file_exits_2(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.write_text("")
+    code = main([*_Q10, "--cache-dir", str(cache)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: cache unwritable")
+
+
+def test_failed_rename_exits_2_and_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(f"cannot rename {src}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code = main([*_Q10, "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: cache unwritable")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _cli_output(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

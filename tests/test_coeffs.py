@@ -284,6 +284,38 @@ def test_verify_identities_see_a_wrong_row_above_twelve():
     assert failures == ["bivariate_functional_equation: nonzero residual through (24, 12)"]
 
 
+def _with_entry(q, k, j, value):
+    rows = [list(r) for r in q.rows]
+    rows[k][j] = value
+    return q._replace(rows=tuple(tuple(r) for r in rows))
+
+
+def test_verify_identities_see_a_nonpositive_q_entry():
+    q = build_q_table(6)
+    wrong = _with_entry(q, 4, 2, 0)
+    failures = verify_coeff_identities(wrong, build_c_table(q), 6)[1]
+    assert "q_positive at k=4, j=2: got 0" in failures
+
+
+def test_verify_identities_see_a_wrong_bernoulli_sum():
+    # q[5][3] sits off the diagonal and the subdiagonal, and c is built
+    # from the right table: the Bernoulli-sum identity at k=5 sees it
+    q = build_q_table(6)
+    wrong = _with_entry(q, 5, 3, q.get(5, 3) + 1)
+    failures = verify_coeff_identities(wrong, build_c_table(q), 6)[1]
+    remark = [f for f in failures if f.startswith("bernoulli_remark")]
+    assert len(remark) == 1 and remark[0].startswith("bernoulli_remark at k=5: expected 1/1260, got ")
+
+
+def test_verify_identities_see_a_wrong_diagonal_q_entry():
+    # exp of the c diagonal is still P(z); the Riccati equation of D(z) is not met
+    q = build_q_table(6)
+    wrong = _with_entry(q, 4, 4, q.get(4, 4) + 1)
+    failures = verify_coeff_identities(wrong, build_c_table(q), 6)[1]
+    assert "diag_functional_equation: nonzero residual through z^6" in failures
+    assert not any(f.startswith("diag_exponential") for f in failures)
+
+
 def test_verify_identities_rejects_bad_order(q20, c20):
     with pytest.raises(ValueError):
         verify_coeff_identities(q20, c20, 0)

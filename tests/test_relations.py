@@ -14,8 +14,10 @@ from tautrel import (
     faber_solve,
     independence_report,
     rank_exact,
+    relation_window,
     scan_nonvanishing,
 )
+from tautrel import relations
 from tautrel.cli import main
 
 from oracles import partition_monomials, socle_value, weights
@@ -39,11 +41,13 @@ def test_faber_choose_gap_falls_back():
 
 
 def test_faber_choose_consistency_and_range():
-    for g in range(2, 25):
+    # every genus the kernel accepts: faber --g 130 is refused
+    for g in range(2, 130):
         for a in range(g // 3 + 1, g - 1):
             ch = faber_choose(g, a)
             assert ch.a == g + 1 + ch.b - 2 * ch.d
             assert ch.d >= 2 and ch.b >= 0
+            relation_window(g, ch.d, ch.b)
             if ch.case_tag == "b_large":
                 assert ch.b >= 2
                 assert ch.a - ch.b >= ch.d - 1  # integer leading coefficient exists
@@ -122,6 +126,44 @@ def test_scan_sample_extractions_lie_on_grid(q20, c20):
     cells = 6 * 7 // 2
     samples = sum(a - 1 for a in range(2, 7))
     assert rep.checked == 2 * cells + samples
+
+
+def _with_c_entry(c, k, j, value):
+    rows = [list(r) for r in c.rows]
+    rows[k - 1][j] = value
+    return c._replace(rows=tuple(tuple(r) for r in rows))
+
+
+def test_scan_reports_a_vanishing_b0_coefficient(q20, c20):
+    # (a, d) = (5, 2) lies in the sample: its extraction reads the same c
+    rep = scan_nonvanishing(8, q20, _with_c_entry(c20, 5, 2, F(0)))
+    assert rep.failures == [{"a": 5, "d": 2, "g": 8, "b": 0, "value": "0"}]
+
+
+def test_scan_reports_a_vanishing_b1_coefficient(q20, c20):
+    # (2g-2) c[10][3] + 2 q[9][2] = 0 at g = 14, outside the a <= 8 sample
+    wrong = _with_c_entry(c20, 10, 3, F(-q20.get(9, 2), 13))
+    rep = scan_nonvanishing(10, q20, wrong)
+    assert rep.failures == [{"a": 10, "d": 3, "g": 14, "b": 1, "value": "0"}]
+
+
+def test_scan_reports_a_wrong_sample_extraction(q20, c20, monkeypatch, capsys):
+    real = relations.extract_relations
+
+    def one_wrong(cells, q, c):
+        # the first sampled cell is (a, d) = (2, 2), in genus 4
+        first, *rest = real(cells, q, c)
+        return [first._replace(poly=first.poly + KappaPoly.gen(2)), *rest]
+
+    monkeypatch.setattr(relations, "extract_relations", one_wrong)
+    rep = scan_nonvanishing(8, q20, c20)
+    right = real([(4, 2, 1)], q20, c20)[0].poly.gen_coeff(2)
+    assert rep.failures == [
+        {"a": 2, "d": 2, "g": 4, "b": 1, "value": str(right + 1),
+         "kind": "sample_extraction_mismatch"}
+    ]
+    assert main(["scan", "--max-a", "8"]) == 1
+    assert '"kind":"sample_extraction_mismatch"' in capsys.readouterr().out
 
 
 def test_scan_validates_input(q20, c20):
