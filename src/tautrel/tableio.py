@@ -1,11 +1,12 @@
 """The ``coeffs`` command: each table as its CSV lines, written out as CSV or
 JSON, and a disk cache of those lines.
 
-The coefficient-table cache lives under a directory the caller names; a
-cached table built at a larger size serves any smaller request with
-byte-identical output.  Each cache file records the row count and sha256
-of its body; a file that fails that check is recomputed, never served.
-Only the ``coeffs`` command loads this module.
+The coefficient-table cache lives under a directory the caller names and
+holds one file per table kind, ``<kind>.csv``; the table in it serves any
+request at or below the size it was built at with byte-identical output,
+and a larger request rebuilds the table and replaces the file.  Each cache
+file records its size, row count and sha256; a file that fails that check
+is recomputed, never served.  Only the ``coeffs`` command loads this module.
 """
 
 from __future__ import annotations
@@ -83,14 +84,15 @@ def _cache_meta(kind: str, k_max: int, body: bytes) -> bytes:
 
 
 def _cache_save(cache_dir: Path, kind: str, k_max: int, lines: list[str]) -> None:
-    """Write the table beside its final name, then rename it into place.
+    """Write the table beside the kind's cache file, then rename it over
+    that file.
 
     The rename is atomic, so a reader sees the old file or the whole new
     one, never a partial write.
     """
     cache_dir.mkdir(parents=True, exist_ok=True)
     body = ("\n".join(lines) + "\n").encode()
-    path = cache_dir / f"{kind}-{k_max}.csv"
+    path = cache_dir / f"{kind}.csv"
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(_cache_meta(kind, k_max, body) + body)
@@ -102,34 +104,27 @@ def _cache_save(cache_dir: Path, kind: str, k_max: int, lines: list[str]) -> Non
 
 
 def _cache_load(cache_dir: Path, kind: str, k_max: int) -> list[str] | None:
-    """Smallest cached table of this kind with k_max >= requested: its
-    header and the lines whose index fields are all at most k_max.
+    """The cached table's header and the lines whose index fields are all
+    at most k_max, if the kind's file holds a table built at k_max or above.
 
-    A file of another version is a silent miss.  A file whose metadata
-    line does not match its name and body (kind, k_max, row count and
-    sha256) is corrupt: it is removed with a warning on stderr and counts
-    as a miss, so the caller recomputes and rewrites the table.
+    No file, a file of another version and a smaller table are silent
+    misses.  A file whose metadata line does not match its body (kind,
+    k_max, row count and sha256) is corrupt: it counts as a miss, with a
+    warning on stderr.  The caller rewrites the file on every miss.
     """
-    if not cache_dir.is_dir():
+    path = cache_dir / f"{kind}.csv"
+    try:
+        meta, _, body = path.read_bytes().partition(b"\n")
+    except (FileNotFoundError, NotADirectoryError):
         return None
-    best: tuple[int, Path] | None = None
-    for path in cache_dir.glob(f"{kind}-*.csv"):
-        try:
-            cached_max = int(path.stem.split("-", 1)[1])
-        except ValueError:
-            continue
-        if cached_max >= k_max and (best is None or cached_max < best[0]):
-            best = (cached_max, path)
-    if best is None:
-        return None
-    cached_max, path = best
-    meta, _, body = path.read_bytes().partition(b"\n")
     if f"version={CACHE_VERSION}".encode() not in meta.split(b" "):
         return None
-    if meta + b"\n" != _cache_meta(kind, cached_max, body):
+    # the size is the last row's first index, which the metadata must name
+    size = body[body.rfind(b"\n", 0, -1) + 1 :].partition(b",")[0]
+    if not size.isdigit() or meta + b"\n" != _cache_meta(kind, int(size), body):
         print(f"warning: cache file {path} is corrupt; recomputing", file=sys.stderr)
-        with contextlib.suppress(OSError):
-            path.unlink()
+        return None
+    if int(size) < k_max:
         return None
     header, *rows = body.decode().splitlines()
     return [header] + [line for line in rows if max(map(int, line.split(",")[:-1])) <= k_max]

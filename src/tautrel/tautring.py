@@ -273,6 +273,7 @@ def _poly(num: dict[int, int], den: int) -> KappaPoly:
 
 
 _UNIT_POLY = _poly({0: 1}, 1)
+_ZERO_POLY = _poly({}, 1)
 # The cells (i, j) of a bivariate series, or of one of its factors.
 _Cells = dict[tuple[int, int], KappaPoly]
 
@@ -506,7 +507,7 @@ def _convolve_cell(cells: _Cells, f2: _Cells, i: int, j: int) -> KappaPoly:
     itself, with no kernel product: a batch cell (x^n, u^d) holds kappa_1^n,
     past the operand relation_window bounds for b = 0 and d < n."""
     if f2 is _UNIT_FACTOR:
-        return cells.get((i, j), KappaPoly())
+        return cells.get((i, j), _ZERO_POLY)
     pairs = []
     for (i2, j2), p in f2.items():
         if i2 > i or j2 > j:

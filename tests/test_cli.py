@@ -85,7 +85,7 @@ def test_cache_round_trip(tmp_path, capsys):
             "--cache-dir", str(tmp_path))
     code, cold = run(capsys, *args)
     assert code == 0
-    assert (tmp_path / "q-6.csv").exists()
+    assert (tmp_path / "q.csv").exists()
     code, warm = run(capsys, *args)
     assert code == 0
     assert warm == cold
@@ -103,14 +103,14 @@ def test_cache_serves_smaller_requests(tmp_path, capsys):
     code, cold = run(capsys, "coeffs", "--table", "c", "--max-k", "3", "--format", "csv")
     assert cached == cold
     # no new, smaller cache file was written
-    assert not (tmp_path / "c-3.csv").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["c.csv"]
 
 
 def test_truncated_cache_is_recomputed_not_served(tmp_path, capsys):
     args = ("coeffs", "--table", "q", "--max-k", "10", "--format", "csv",
             "--cache-dir", str(tmp_path))
     _, cold = run(capsys, *args)
-    path = tmp_path / "q-10.csv"
+    path = tmp_path / "q.csv"
     path.write_bytes(path.read_bytes()[:200])
     code = main(list(args))
     captured = capsys.readouterr()
@@ -121,7 +121,7 @@ def test_truncated_cache_is_recomputed_not_served(tmp_path, capsys):
     code = main(list(args))
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (0, cold, "")
-    assert [p.name for p in tmp_path.iterdir()] == ["q-10.csv"]
+    assert [p.name for p in tmp_path.iterdir()] == ["q.csv"]
 
 
 _Q10 = ("coeffs", "--table", "q", "--max-k", "10")
@@ -130,7 +130,7 @@ _Q10 = ("coeffs", "--table", "q", "--max-k", "10")
 def test_cache_of_another_version_is_a_silent_miss(tmp_path, capsys):
     _, cold = run(capsys, *_Q10)
     run(capsys, *_Q10, "--cache-dir", str(tmp_path))
-    path = tmp_path / "q-10.csv"
+    path = tmp_path / "q.csv"
     written = path.read_bytes()
     meta, _, body = written.partition(b"\n")
     assert b" version=2 " in meta
@@ -141,17 +141,75 @@ def test_cache_of_another_version_is_a_silent_miss(tmp_path, capsys):
     assert path.read_bytes() == written
 
 
-def test_cache_file_without_a_size_is_skipped(tmp_path, capsys):
+def test_cache_file_of_the_old_per_size_layout_is_ignored(tmp_path, capsys):
+    # a q-10.csv is neither read nor removed, even when it holds a valid table
     _, cold = run(capsys, *_Q10)
-    (tmp_path / "q-x.csv").write_text("not a table\n")
+    run(capsys, *_Q10, "--cache-dir", str(tmp_path))
+    old = tmp_path / "q-10.csv"
+    (tmp_path / "q.csv").rename(old)
+    written = old.read_bytes()
     code = main([*_Q10, "--cache-dir", str(tmp_path)])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (0, cold, "")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["q-10.csv", "q-x.csv"]
+    # a miss, so q.csv was written
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["q-10.csv", "q.csv"]
+    assert old.read_bytes() == written
+
+
+def _cache_size(path):
+    meta = path.read_bytes().partition(b"\n")[0].decode().split()
+    return int(meta[2].removeprefix("k_max="))
+
+
+def test_stale_cache_file_is_replaced_then_serves_smaller_requests(tmp_path, capsys):
+    path = tmp_path / "q.csv"
+    run(capsys, "coeffs", "--table", "q", "--max-k", "20", "--cache-dir", str(tmp_path))
+    meta, _, body = path.read_bytes().partition(b"\n")
+    path.write_bytes(meta.replace(b" version=2 ", b" version=1 ") + b"\n" + body)
+    # the first request replaces the stale table with its own, silently
+    _, cold = run(capsys, *_Q10)
+    code = main([*_Q10, "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, cold, "")
+    assert _cache_size(path) == 10 and b" version=2 " in path.read_bytes()
+    # a later, smaller request is served from that table with no write
+    written, inode = path.read_bytes(), path.stat().st_ino
+    q8 = ("coeffs", "--table", "q", "--max-k", "8")
+    _, cold = run(capsys, *q8)
+    code = main([*q8, "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, cold, "")
+    assert (path.read_bytes(), path.stat().st_ino) == (written, inode)
+    assert [p.name for p in tmp_path.iterdir()] == ["q.csv"]
+
+
+def test_larger_request_grows_the_one_cache_file(tmp_path, capsys):
+    for k_max in (12, 14, 12):
+        argv = ("coeffs", "--table", "c", "--max-k", str(k_max), "--format", "csv")
+        _, cold = run(capsys, *argv)
+        code, cached = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert (code, cached) == (0, cold)
+    assert [p.name for p in tmp_path.iterdir()] == ["c.csv"]
+    assert _cache_size(tmp_path / "c.csv") == 14
+
+
+def test_cache_size_raised_in_the_metadata_is_not_served(tmp_path, capsys):
+    # the size a file claims must be its last row's: a q table at 10 whose
+    # metadata says 12 would otherwise serve a request at 12 without row 12
+    run(capsys, *_Q10, "--cache-dir", str(tmp_path))
+    path = tmp_path / "q.csv"
+    path.write_bytes(path.read_bytes().replace(b" k_max=10 ", b" k_max=12 ", 1))
+    q12 = ("coeffs", "--table", "q", "--max-k", "12")
+    _, cold = run(capsys, *q12)
+    code = main([*q12, "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (0, cold)
+    assert "corrupt" in captured.err
+    assert _cache_size(path) == 12
 
 
 def test_unreadable_cache_exits_2(tmp_path, capsys):
-    (tmp_path / "q-10.csv").mkdir()
+    (tmp_path / "q.csv").mkdir()
     code = main([*_Q10, "--cache-dir", str(tmp_path)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
@@ -191,7 +249,7 @@ def _cli_output(*argv):
 def test_damaged_cache_never_prints_wrong_bytes(data, k_max, truncate):
     with tempfile.TemporaryDirectory() as tmp:
         _cli_output("coeffs", "--table", "q", "--max-k", "10", "--cache-dir", tmp)
-        path = Path(tmp) / "q-10.csv"
+        path = Path(tmp) / "q.csv"
         raw = bytearray(path.read_bytes())
         pos = data.draw(st.integers(0, len(raw) - 1), label="pos")
         if truncate:
@@ -347,7 +405,7 @@ def test_cache_round_trip_past_the_digit_cap(tmp_path):
     cached = [*argv, "--cache-dir", str(tmp_path)]
     cold = _fresh_cli(cached, PYTHONINTMAXSTRDIGITS="640")
     warm = _fresh_cli(cached, PYTHONINTMAXSTRDIGITS="640")
-    assert [p.name for p in tmp_path.iterdir()] == ["p-200.csv"]
+    assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
     for proc in (cold, warm):
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, lifted.stdout, "")
 

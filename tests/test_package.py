@@ -172,6 +172,17 @@ def test_coeffs_q_does_not_load_tautring():
         assert not {"tautrel.tautring", "tautrel.series"} & mods, table
 
 
+def test_cache_hit_loads_only_the_table_writer(tmp_path):
+    # a hit prints the cached lines, so it skips the table code, the series
+    # and Fraction arithmetic that a fresh process would otherwise import
+    cache = ("--cache-dir", str(tmp_path))
+    assert loaded_by("coeffs", "--table", "c", "--max-k", "60", *cache)[0] == 0
+    rc, mods = loaded_by("coeffs", "--table", "c", "--max-k", "30", *cache)
+    assert rc == 0
+    assert tautrel_modules(mods) == {"tautrel", "tautrel.cli", "tautrel.tableio"}
+    assert "fractions" not in mods
+
+
 @pytest.mark.parametrize("table", ["q", "p"])
 def test_coeffs_json_loads_no_json(table):
     # the table writer spells its JSON out itself
@@ -276,6 +287,53 @@ def test_unknown_name_raises_attribute_error(name):
     with pytest.raises(AttributeError):
         getattr(tautrel, name)
     assert name not in tautrel.__all__
+
+
+# ---------------------------------------------------------- input refusals
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda q, c: tautrel.p_series(-1), "k_max must be >= 0"),
+        (
+            lambda q, c: tautrel.ode_residual(tautrel.solve_series_ode(3, 1)),
+            "need w-order >= 2 to form the residual",
+        ),
+        (
+            lambda q, c: tautrel.q_functional_equation_residual(q, 21, 3),
+            "q table sized 20, need 21",
+        ),
+        (lambda q, c: tautrel.diag_ode_residual(q, 21), "q table sized 20, need 21"),
+        (lambda q, c: faber_choose(1, 1), "need g >= 2"),
+        (lambda q, c: faber_solve(1, q, c), "need g >= 2"),
+        (lambda q, c: independence_report(1, 1, q, c), "need g >= 2 and a >= 1"),
+        (lambda q, c: build_c_table(build_q_table(0)), "need q table with k_max >= 1"),
+        (lambda q, c: tautrel.UniSeries("z", -1, []), "order must be >= 0"),
+        (lambda q, c: tautrel.UniSeries("z", 2, [1]), "need 3 coefficients, got 1"),
+        (
+            lambda q, c: tautrel.UniSeries.from_terms("z", 2, {3: 1}),
+            "exponent 3 outside truncation order 2",
+        ),
+        (lambda q, c: tautrel.BiSeries(("x", "w"), (-1, 0), {}), "orders must be >= 0"),
+        (lambda q, c: tautrel.KappaPoly.gen(-1), "generator index must be >= 0 and exponent >= 1"),
+        (lambda q, c: extract_diagonal_relation(1, 0, 1, c), "need g >= 2, b >= 0, a >= 1"),
+    ],
+    ids=[
+        "p_series", "ode_residual", "q_functional_equation_residual", "diag_ode_residual",
+        "faber_choose", "faber_solve", "independence_report", "build_c_table",
+        "UniSeries_order", "UniSeries_length", "UniSeries_from_terms", "BiSeries",
+        "KappaPoly_gen", "extract_diagonal_relation",
+    ],
+)
+def test_public_calls_refuse_bad_input(call, message, q20, c20):
+    with pytest.raises(ValueError) as exc:
+        call(q20, c20)
+    assert str(exc.value) == message
+
+
+def test_c_table_reads_zero_below_the_triangle(c20):
+    assert c20.get(3, -1) == 0
 
 
 # ----------------------------------------------------------------- records
