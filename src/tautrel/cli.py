@@ -1,6 +1,8 @@
 """Command-line front end: a table-driven parser and one handler per subcommand.
 
-Exit codes: 0 success, 1 a mathematical check failed, 2 usage error.
+Exit codes: 0 success, 1 a mathematical check failed, 2 usage error or a
+request the library refuses with ``ValueError``, which only ``main`` turns
+into an ``error:`` line: a handler builds its tables, calls the library and prints.
 
 A fresh process compiles what it imports, so the parser imports nothing
 (argparse cost a process about 7 ms) and each handler only what it runs:
@@ -40,12 +42,17 @@ def _cmd_coeffs(args) -> int:
     return emit_table(args.table, args.max_k, args.format, args.cache_dir)
 
 
-def _cmd_verify(args) -> int:
+def _tables(k_max: int):
+    """The q and c tables to order ``k_max``."""
     from . import tables
 
+    q = tables.build_q_table(k_max)
+    return q, tables.build_c_table(q)
+
+
+def _cmd_verify(args) -> int:
     package = sys.modules[__package__]
-    q = tables.build_q_table(args.order)
-    c = tables.build_c_table(q)
+    q, c = _tables(args.order)
     failed = False
     for suite in _suites(args.suite):
         summary, failures = getattr(package, VERIFY_SUITES[suite][1])(q, c, args.order)
@@ -58,37 +65,25 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_relation(args) -> int:
-    from . import tables
     from . import tautring as tr
 
-    try:
-        n = tr.relation_window(args.g, args.d, args.b, args.psi)
-        q = tables.build_q_table(max(n, 1))
-        c = tables.build_c_table(q)
-        if args.psi:
-            out = tr.extract_psi_relation(args.g, args.d, q, c)
-        else:
-            out = tr.extract_relation(args.g, args.d, args.b, q, c)
-    except ValueError as exc:  # out of range, or past the kernel's index or exponent range
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    n = tr.relation_window(args.g, args.d, args.b, args.psi)
+    q, c = _tables(max(n, 1))
+    if args.psi:
+        out = tr.extract_psi_relation(args.g, args.d, q, c)
+    else:
+        out = tr.extract_relation(args.g, args.d, args.b, q, c)
     print(tr.relation_json(out))
     return 0
 
 
 def _cmd_faber(args) -> int:
     from . import relations as rel
-    from . import tables
     from . import tautring as tr
 
-    if args.g - 2 > args.g // 3:  # faber solves for kappa_{g-2} last
-        try:
-            rel.faber_choose(args.g, args.g - 2)
-        except ValueError as exc:  # past the kernel's index or exponent range
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    q = tables.build_q_table(max(args.g, 1))
-    c = tables.build_c_table(q)
+    if args.g - 2 > args.g // 3:  # faber solves for kappa_{g-2} last: refuse before the tables
+        rel.faber_choose(args.g, args.g - 2)
+    q, c = _tables(args.g)
     try:
         exprs = rel.faber_solve(args.g, q, c, rewrite=args.rewrite)
     except rel.FaberConsistencyError as exc:
@@ -104,11 +99,8 @@ def _cmd_scan(args) -> int:
     import json
 
     from . import relations as rel
-    from . import tables
 
-    q = tables.build_q_table(args.max_a)
-    c = tables.build_c_table(q)
-    report = rel.scan_nonvanishing(args.max_a, q, c)
+    report = rel.scan_nonvanishing(args.max_a, *_tables(args.max_a))
     print(json.dumps(report._asdict(), separators=(",", ":")))
     return 0 if report.ok else 1
 
@@ -245,6 +237,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
+    except ValueError as exc:  # out of range, or past the kernel's index or exponent range
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if cap is not None:
             sys.set_int_max_str_digits(cap)

@@ -245,7 +245,7 @@ def _cli_output(*argv):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(data=st.data(), k_max=st.integers(0, 10), truncate=st.booleans())
+@given(data=st.data(), k_max=st.integers(0, 12), truncate=st.booleans())
 def test_damaged_cache_never_prints_wrong_bytes(data, k_max, truncate):
     with tempfile.TemporaryDirectory() as tmp:
         _cli_output("coeffs", "--table", "q", "--max-k", "10", "--cache-dir", tmp)
@@ -309,6 +309,36 @@ def test_relation_out_of_range(capsys):
     # generator kappa_{a+b} past the packed-monomial index limit
     code = main(["relation", "--g", "10", "--d", "2", "--b", "1100"])
     assert code == 2 and "outside 0..1023" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        ("relation --g 4 --d 4", "relation out of range for (g=4, d=4, b=0)"),
+        ("relation --g 10 --d 2 --b 1100", "generator index 1107 outside 0..1023"),
+        ("relation --g 383 --d 128", "exponent 128 in a product operand outside 0..127"),
+        ("relation --g 1030 --d 2 --psi", "generator index 1028 outside 0..1023"),
+        ("faber --g 1026", "generator index 1024 outside 0..1023"),
+        ("faber --g 130", "exponent 128 in a product operand outside 0..127"),
+    ],
+)
+def test_library_refusals_exit_2_with_one_error_line(capsys, argv, err):
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {err}\n")
+
+
+def test_value_error_past_validation_exits_2(capsys, monkeypatch):
+    # main, not the handler, turns a library ValueError into exit 2
+    import tautrel.relations
+
+    def refuse(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(tautrel.relations, "faber_solve", refuse)
+    code = main(["faber", "--g", "8"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: boom\n")
 
 
 def _fresh_cli(argv, **env):

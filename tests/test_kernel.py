@@ -80,6 +80,13 @@ def test_terms_view_round_trip(p):
     assert KappaPoly(view) == poly
     for m, v in p.items():
         assert view[m] == v and poly.coeff(m) == v and m in view
+    # a monomial the packed form cannot hold is absent, not an error:
+    # an index past MAX_INDEX, an exponent past a byte, a repeated index, a non-tuple
+    for bad in (((MAX_INDEX + 1, 1),), ((1, 256),), ((1, 1), (1, 2)), 3):
+        assert bad not in view
+        with pytest.raises(KeyError):
+            view[bad]
+    assert poly != 1  # never equal to an int, even as a constant
 
 
 # psi (index 0), indices past one byte and up to MAX_INDEX, exponents to 255;

@@ -66,6 +66,7 @@ def test_uniseries_mismatch_errors():
         a * UniSeries("x", 4, [0] * 5)
     with pytest.raises(ValueError):
         a.coeff(4)
+    assert a != 0  # a series never equals an int
 
 
 def test_uniseries_exp_is_multiplicative():
@@ -103,6 +104,7 @@ def test_biseries_coeff_extraction():
     p = BiSeries(XU, (2, 2), {(0, 0): F(1), (1, 2): F(3)})
     assert p.coeff(1, 2) == 3
     assert p.coeff(2, 0) == 0
+    assert p != 1  # a series never equals an int
     with pytest.raises(ValueError):
         p.coeff(3, 0)
 
