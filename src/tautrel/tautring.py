@@ -182,9 +182,9 @@ class KappaPoly:
             return NotImplemented
         return self._den == other._den and self._num == other._num
 
-    def _combine(self, other: "KappaPoly", sign: int) -> "KappaPoly":
+    def __add__(self, other: "KappaPoly") -> "KappaPoly":
         den = lcm(self._den, other._den)
-        s1, s2 = den // self._den, sign * (den // other._den)
+        s1, s2 = den // self._den, den // other._den
         out = {k: v * s1 for k, v in self._num.items()} if s1 != 1 else dict(self._num)
         for k, v in other._num.items():
             if k in out:
@@ -192,15 +192,6 @@ class KappaPoly:
             else:
                 out[k] = v * s2
         return _poly(out, den)
-
-    def __add__(self, other: "KappaPoly") -> "KappaPoly":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "KappaPoly") -> "KappaPoly":
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "KappaPoly":
-        return _poly({k: -v for k, v in self._num.items()}, self._den)
 
     def scale(self, r: Fraction) -> "KappaPoly":
         r = Fraction(r)

@@ -569,6 +569,26 @@ def test_closed_stdout_exits_1_without_traceback():
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
+def test_reader_gone_mid_stream_exits_1_without_traceback():
+    # `tautrel faber --g 24 --rewrite | head -c 50`: the reader takes the
+    # start of the document, which is far longer than a pipe holds, and goes
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tautrel.cli", "faber", "--g", "24", "--rewrite"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    head = proc.stdout.read(50)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    # the start of the g = 24 document that test_faber_bytes_past_the_benchmark_genera pins
+    assert head == b'{"g":24,"rewrite":true,"expressions":[{"a":9,"rhs"'
+
+
 def _bench_module(name):
     spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)

@@ -153,7 +153,8 @@ def test_scan_reports_a_wrong_sample_extraction(q20, c20, monkeypatch, capsys):
     def one_wrong(cells, q, c):
         # the first sampled cell is (a, d) = (2, 2), in genus 4
         first, *rest = real(cells, q, c)
-        return [first._replace(poly=first.poly + KappaPoly.gen(2)), *rest]
+        wrong = {**first.poly.terms, ((2, 1),): first.poly.gen_coeff(2) + 1}
+        return [first._replace(poly=KappaPoly(wrong)), *rest]
 
     monkeypatch.setattr(relations, "extract_relations", one_wrong)
     rep = scan_nonvanishing(8, q20, c20)
