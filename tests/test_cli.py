@@ -553,8 +553,7 @@ def test_outputs_byte_stable(capsys):
 
 
 def test_closed_stdout_exits_1_without_traceback():
-    # `tautrel faber --g 18 --rewrite | head -c 50`: the reader is gone
-    # before the output is written
+    # the reader closes the pipe before `faber --g 12` writes a byte
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.Popen(
         [sys.executable, "-m", "tautrel.cli", "faber", "--g", "12", "--rewrite"],
