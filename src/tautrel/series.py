@@ -4,16 +4,16 @@ Truncation orders are explicit, and a product of series in other variables
 or at other orders raises ValueError.  All values are immutable by
 convention.  The checks in ``tautrel.coeffs`` run on integer rows
 (``BiSeries._integer_rows``), so there is no sum, derivative or truncation.
+From tautrel this module reads only the package's name map.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 from typing import Collection, Iterable, Iterator
 
 from . import _EXPORTS
-from .tables import _add_convolution
 
 __all__ = [name for name, home in _EXPORTS.items() if home == "series"]
 
@@ -30,26 +30,19 @@ def _half_power_coeffs(lo: int, hi: int, order: int) -> dict[int, list[int]]:
     """Coefficients of (1 + 4v)^(h/2) through v^order, for every lo <= h <= hi.
 
     4^k * C(h/2, k) is an integer for every integer h, so each power is a
-    list of ints.  Odd h start from (1 + 4v)^(-1/2), whose coefficients are
-    (-1)^k * C(2k, k), and even h from 1; every other power is a factor
-    (1 + 4v) or 1/(1 + 4v) away, each a two-term integer recurrence.
+    list of ints.  The lowest power of each parity is the binomial series,
+    c_0 = 1 and c_k = c_(k-1) * 2(h - 2k + 2) / k, an exact integer
+    division; each higher power of that parity is one factor (1 + 4v) up.
     """
-    seeds = {0: [1] + [0] * order, -1: [(-1) ** k * comb(2 * k, k) for k in range(order + 1)]}
     out: dict[int, list[int]] = {}
-    for h, seed in seeds.items():
-        cs = seed
-        for up in range(h, hi + 1, 2):
-            if up > h:
+    for start in range(lo, min(lo + 2, hi + 1)):
+        cs = [1]
+        for k in range(1, order + 1):
+            cs.append(cs[-1] * 2 * (start - 2 * k + 2) // k)
+        for h in range(start, hi + 1, 2):
+            if h > start:
                 cs = [cs[0]] + [cs[k] + 4 * cs[k - 1] for k in range(1, order + 1)]
-            if up >= lo:
-                out[up] = cs
-        cs = seed
-        for down in range(h - 2, lo - 1, -2):
-            cs = list(cs)
-            for k in range(1, order + 1):
-                cs[k] -= 4 * cs[k - 1]
-            if down <= hi:
-                out[down] = cs
+            out[h] = cs
     return out
 
 
@@ -100,14 +93,14 @@ class UniSeries:
 
     # no src/ caller: kept while bench/tracer.py TARGETS pins it
     def __mul__(self, other: "UniSeries") -> "UniSeries":
-        """Exact product: one integer convolution over one denominator."""
+        """Exact product: the coefficient convolution, truncated at the order."""
         self._check(other)
-        a, da = _over_common_den(self.coeffs)
-        b, db = _over_common_den(other.coeffs)
-        out = [0] * (self.order + 1)
-        _add_convolution(out, a, b)
-        den = da * db
-        return UniSeries(self.var, self.order, [Fraction(v, den) for v in out])
+        a, b = self.coeffs, other.coeffs
+        return UniSeries(
+            self.var,
+            self.order,
+            [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(self.order + 1)],
+        )
 
     def exp(self) -> "UniSeries":
         """exp of a series with zero constant term, via E' = a' E."""
@@ -187,27 +180,15 @@ class BiSeries:
 
     # no src/ caller: kept while bench/tracer.py TARGETS pins it
     def __mul__(self, other: "BiSeries") -> "BiSeries":
-        """Exact product: row-by-row integer convolutions over one denominator."""
+        """Exact product: the coefficient convolution, truncated at the orders."""
         self._check(other)
         n1, n2 = self.orders
-        a, da = self._integer_rows()
-        b, db = other._integer_rows()
-        nonzero_b = [(i, row) for i, row in enumerate(b) if any(row)]
-        out = [[0] * (n2 + 1) for _ in range(n1 + 1)]
-        for i1, row1 in enumerate(a):
-            if any(row1):
-                for i2, row2 in nonzero_b:
-                    if i1 + i2 > n1:
-                        break
-                    _add_convolution(out[i1 + i2], row1, row2)
-        den = da * db
-        terms = {
-            (i, j): Fraction(v, den)
-            for i, row in enumerate(out)
-            for j, v in enumerate(row)
-            if v
-        }
-        return BiSeries(self.vars, self.orders, terms)
+        out: dict[tuple[int, int], Fraction] = {}
+        for (i1, j1), u in self.coeffs.items():
+            for (i2, j2), v in other.coeffs.items():
+                if i1 + i2 <= n1 and j1 + j2 <= n2:
+                    out[i1 + i2, j1 + j2] = out.get((i1 + i2, j1 + j2), _ZERO) + u * v
+        return BiSeries(self.vars, self.orders, out)
 
     def is_zero(self) -> bool:
         return not self.coeffs

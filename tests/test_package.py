@@ -164,6 +164,14 @@ def test_crosscheck_loads_relations():
     assert "tautrel.relations" in mods
 
 
+def test_series_is_a_leaf_module():
+    # series reads only the package's name map: imported first, in a fresh
+    # interpreter, it loads no other tautrel module
+    proc = _python("-c", "import sys, tautrel.series; print(' '.join(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert tautrel_modules(proc.stdout.split()) == {"tautrel", "tautrel.series"}
+
+
 def test_coeffs_q_does_not_load_tautring():
     for table in ("q", "c"):
         rc, mods = loaded_by("coeffs", "--table", table, "--max-k", "4")

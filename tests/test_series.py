@@ -12,9 +12,6 @@ from tautrel.tables import _add_symmetric_products
 
 from oracles import (
     _binomial_series_coeff,
-    bi_exp,
-    coeff_via_change_of_vars,
-    ref_add,
     ref_bi_mul,
     ref_ode_residual,
     ref_uni_mul,
@@ -23,13 +20,11 @@ from oracles import (
 XU = ("x", "u")
 
 
-def random_biseries(rng, orders, density=0.4, zero_constant=False):
+def random_biseries(rng, orders):
     terms = {}
     for i in range(orders[0] + 1):
         for j in range(orders[1] + 1):
-            if zero_constant and i == 0 and j == 0:
-                continue
-            if rng.random() < density:
+            if rng.random() < 0.4:
                 terms[(i, j)] = F(rng.randint(-9, 9), rng.randint(1, 9))
     return BiSeries(XU, orders, terms)
 
@@ -116,15 +111,6 @@ def test_biseries_canonical_form():
         BiSeries(XU, (1, 1), {(2, 0): F(1)})  # exponent beyond truncation
 
 
-def test_biseries_exp_examples():
-    one = BiSeries(XU, (2, 2), {(0, 0): F(1)})
-    assert bi_exp(BiSeries(XU, (2, 2), {})) == one
-    x = BiSeries(XU, (3, 0), {(1, 0): F(1)})
-    assert bi_exp(x).coeffs == {(0, 0): F(1), (1, 0): F(1), (2, 0): F(1, 2), (3, 0): F(1, 6)}
-    with pytest.raises(ValueError):
-        bi_exp(one)
-
-
 def test_biseries_mul_commutes_and_associates():
     rng = random.Random(3)
     for _ in range(8):
@@ -135,15 +121,6 @@ def test_biseries_mul_commutes_and_associates():
         assert (a * b) * c == a * (b * c)
 
 
-def test_biseries_exp_additive():
-    rng = random.Random(5)
-    for _ in range(6):
-        a = random_biseries(rng, (3, 3), zero_constant=True)
-        b = random_biseries(rng, (3, 3), zero_constant=True)
-        a_plus_b = BiSeries(XU, (3, 3), ref_add(a.coeffs, b.coeffs))
-        assert bi_exp(a_plus_b).coeffs == ref_bi_mul(bi_exp(a).coeffs, bi_exp(b).coeffs, (3, 3))
-
-
 def test_dump_format():
     p = BiSeries(XU, (2, 2), {(1, 2): F(3), (0, 0): F(1, 2), (1, 0): F(-4)})
     assert p.dump() == "0 0 1/2\n1 0 -4\n1 2 3"
@@ -152,44 +129,22 @@ def test_dump_format():
 # ------------------------------------------------------ half powers of 1+4v
 
 def test_half_power_seed_is_signed_central_binomial():
-    # (1+4v)^(-1/2) = sum (-1)^k C(2k, k) v^k, the seed of every odd power
+    # (1+4v)^(-1/2) = sum (-1)^k C(2k, k) v^k, whichever power starts its chain
     central = [factorial(2 * k) // factorial(k) ** 2 for k in range(21)]
     assert _half_power_coeffs(-1, -1, 20)[-1] == [(-1) ** k * c for k, c in enumerate(central)]
     assert _half_power_coeffs(-1, -1, 4)[-1] == [1, -2, 6, -20, 70]
 
 
 def test_half_powers_are_the_binomial_series():
-    powers = _half_power_coeffs(-60, 4, 20)
-    assert sorted(powers) == list(range(-60, 5))
-    for h, cs in powers.items():
-        assert all(type(v) is int for v in cs)
-        assert cs == [_binomial_series_coeff(F(h, 2), k) * 4**k for k in range(21)], h
-
-
-# ------------------------------------------------------- change of variables
-
-def test_change_of_vars_examples():
-    xw = BiSeries(("x", "w"), (1, 1), {(1, 1): F(1)})
-    assert coeff_via_change_of_vars(xw, 1, 1) == 1
-    one = BiSeries(("x", "w"), (0, 0), {(0, 0): F(1)})
-    assert coeff_via_change_of_vars(one, 0, 0) == 1
-    w2 = BiSeries(("x", "w"), (0, 2), {(0, 2): F(1)})
-    assert coeff_via_change_of_vars(w2, 0, 2) == 1
-
-
-def test_change_of_vars_equals_direct_extraction():
-    rng = random.Random(13)
-    for _ in range(12):
-        p = random_biseries(rng, (5, 5), density=0.5)
-        for a in range(6):
-            for d in range(6):
-                assert coeff_via_change_of_vars(p, a, d) == p.coeff(a, d)
-
-
-def test_change_of_vars_truncation_error():
-    p = BiSeries(("x", "w"), (2, 2), {})
-    with pytest.raises(ValueError):
-        coeff_via_change_of_vars(p, 3, 1)
+    # chains from an odd and from an even lowest power, up past h = 0, and
+    # one range at order 0
+    for lo, hi, order in [(-60, 4, 20), (-121, 121, 24), (-120, 121, 24), (-7, 5, 0)]:
+        powers = _half_power_coeffs(lo, hi, order)
+        assert sorted(powers) == list(range(lo, hi + 1))
+        for h, cs in powers.items():
+            assert all(type(v) is int for v in cs)
+            expected = [_binomial_series_coeff(F(h, 2), k) * 4**k for k in range(order + 1)]
+            assert cs == expected, (lo, h)
 
 
 # ------------------- integer products and the ODE residual against the reference
