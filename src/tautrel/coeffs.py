@@ -235,11 +235,10 @@ def q_functional_equation_residual(q: QTable, n_x: int, n_u: int) -> BiSeries:
             rhs[0] = 1
         else:
             # (1+4u)*(uQ)_u + u*Q**2 on row k - 1, then times sqrt(1+4u)
-            prev, sq = rows[-1], [0] * n
+            sq = [0] * (n - 1)
             _add_symmetric_products(sq, rows, k - 1)
-            inner = [prev[0]] + [
-                (t + 1) * prev[t] + 4 * t * prev[t - 1] + sq[t - 1] for t in range(1, n)
-            ]
+            prev, sq = [0, *rows[-1]], [0, *sq]
+            inner = [(t + 1) * prev[t + 1] + 4 * t * prev[t] + sq[t] for t in range(n)]
             _add_convolution(rhs, powers[1], inner)
         rows.append(row)
         terms.update(((k, t), a - b) for t, (a, b) in enumerate(zip(row, rhs)) if a != b)

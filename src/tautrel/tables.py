@@ -25,7 +25,7 @@ class QTable(NamedTuple):
     rows: tuple[tuple[int, ...], ...]
 
     def get(self, k: int, j: int) -> int:
-        if k < 0 or j < 0 or j > k:
+        if not 0 <= j <= k:
             return 0
         if k > self.k_max:
             raise ValueError(f"q table sized {self.k_max}, need k={k}")
@@ -43,11 +43,7 @@ class CTable(NamedTuple):
             raise ValueError("c table starts at k=1")
         if k > self.k_max:
             raise ValueError(f"c table sized {self.k_max}, need k={k}")
-        if j < 0:
-            return _ZERO
-        if j > k:
-            return _ZERO
-        return self.rows[k - 1][j]
+        return self.rows[k - 1][j] if 0 <= j <= k else _ZERO
 
 
 def _add_convolution(out: list[int], a: list[int], b: list[int]) -> None:
@@ -82,29 +78,22 @@ def build_q_table(k_max: int) -> QTable:
     q[k][j] = (2k+4j-2)*q[k-1][j-1] + (j+1)*q[k-1][j]
               + sum_{m,l} q[m][l]*q[k-1-m][j-1-l]
 
-    with q[0][0] = 1 and q vanishing outside 0 <= j <= k.  The double sum
-    is the (k-1, j-1) entry of the 2-D self-convolution of the triangle,
-    assembled row by row by ``_add_symmetric_products``.
+    with q[0][0] = 1 and q vanishing outside 0 <= j <= k.  Row k reads row
+    k - 1 padded with one zero at each end, so neither shift of it needs a
+    bound test.  The double sum is the (k-1)-th row of the 2-D
+    self-convolution of the triangle, from ``_add_symmetric_products``,
+    shifted by one behind a leading zero.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     rows: list[list[int]] = [[1]]
     for k in range(1, k_max + 1):
-        kk = k - 1
-        conv_row = [0] * (kk + 1)
-        _add_symmetric_products(conv_row, rows, kk)
-        prev = rows[kk]
-        row = []
-        for j in range(k + 1):
-            val = 0
-            if 0 <= j - 1 <= kk:
-                val += (2 * k + 4 * j - 2) * prev[j - 1]
-            if j <= kk:
-                val += (j + 1) * prev[j]
-            if 1 <= j <= kk + 1:
-                val += conv_row[j - 1]
-            row.append(val)
-        rows.append(row)
+        conv = [0] * k
+        _add_symmetric_products(conv, rows, k - 1)
+        prev, conv = [0, *rows[-1], 0], [0, *conv]
+        rows.append(
+            [(2 * k + 4 * j - 2) * prev[j] + (j + 1) * prev[j + 1] + conv[j] for j in range(k + 1)]
+        )
     return QTable(k_max, tuple(tuple(r) for r in rows))
 
 

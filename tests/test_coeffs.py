@@ -50,6 +50,10 @@ def test_q_table_hand_values():
 def test_q_table_matches_unpaired_convolution(q60):
     # row k sums its self-convolution at kk = k - 1: odd and even kk alike
     assert q60.rows == ref_q_rows(60)
+    # rows 0..2 are mostly padding: the ends of the padded previous row and
+    # the shifted convolution row are all they read
+    for k in (0, 1, 2):
+        assert build_q_table(k).rows == ref_q_rows(k)
 
 
 def test_q_table_outside_triangle_and_sizing():
