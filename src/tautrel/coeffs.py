@@ -96,8 +96,6 @@ def _add_half_power_sum(
     ``_half_power_coeffs``.  A table sized below n_x - 1 raises ValueError
     from its ``get``.
     """
-    if n_x < 2:
-        return
     powers = _half_power_coeffs(-(3 * (n_x - 1) + 2 * s), -(1 + 2 * s), n_w)
     for k in range(1, n_x):
         nums, den = _over_common_den([t.get(k, j) for j in range(min(k, n_w) + 1)])
@@ -106,9 +104,7 @@ def _add_half_power_sum(
             if v:
                 v = -sign * v if j % 2 else sign * v
                 acc[j:] = [a + v * p for a, p in zip(acc[j:], powers[-(2 * j + k + 2 * s)])]
-        for i, v in enumerate(acc):
-            if v:
-                terms[(k + 1, i)] = Fraction(v, den)
+        terms.update(((k + 1, i), Fraction(v, den)) for i, v in enumerate(acc))
 
 
 def expand_w_deriv_closed(q: QTable, n_x: int, n_w: int) -> BiSeries:
@@ -120,10 +116,7 @@ def expand_w_deriv_closed(q: QTable, n_x: int, n_w: int) -> BiSeries:
     expanded with the exact integer series of the half-integer powers of
     1+4w.
     """
-    terms: dict[tuple[int, int], Fraction] = {}
-    for j, v in enumerate(_sqrt_shifted_coeffs(n_w)):
-        if v:
-            terms[(0, j)] = Fraction(v)
+    terms = {(0, j): Fraction(v) for j, v in enumerate(_sqrt_shifted_coeffs(n_w))}
     if n_x >= 1:
         for m in range(n_w + 1):
             terms[(1, m)] = Fraction((-4) ** m)
@@ -140,11 +133,8 @@ def expand_closed_form(c: CTable, n_x: int, n_w: int) -> BiSeries:
     where F(0,w) is the w-antiderivative (zero constant term) of
     (-1+sqrt(1+4w))/(2w).
     """
-    terms: dict[tuple[int, int], Fraction] = {}
     a0 = _sqrt_shifted_coeffs(max(n_w - 1, 0))
-    for j in range(min(len(a0), n_w)):
-        if a0[j]:
-            terms[(0, j + 1)] = Fraction(a0[j], j + 1)
+    terms = {(0, j + 1): Fraction(v, j + 1) for j, v in zip(range(n_w), a0)}
     if n_x >= 1:
         for m in range(1, n_w + 1):
             terms[(1, m)] = Fraction((-1) ** (m - 1) * 4 ** (m - 1), m)
@@ -299,11 +289,10 @@ def remark_identity_failures(q: QTable, bern: tuple[Fraction, ...], k_max: int) 
         denom = Fraction(k, 2)
         prod = denom
         fact = 1
-        for l in range(0, k + 1):
-            if l > 0:
-                fact *= l
-                prod *= denom + l
+        for l in range(k + 1):
             rhs += Fraction(-4) ** (-l) * q.get(k, l) * fact / prod
+            fact *= l + 1
+            prod *= denom + (l + 1)
         rhs /= 4
         if lhs != rhs:
             failures.append(f"bernoulli_remark at k={k}: expected {lhs}, got {rhs}")
@@ -325,10 +314,8 @@ def verify_coeff_identities(q: QTable, c: CTable, k_max: int) -> tuple[str, list
         raise ValueError("k_max must be >= 1")
     bern = bernoulli_table(k_max + 1)
     failures = []
-    checked = 0
     for k in range(k_max + 1):
         for j in range(k + 1):
-            checked += 1
             if q.get(k, j) <= 0:
                 failures.append(f"q_positive at k={k}, j={j}: got {q.get(k, j)}")
     for k in range(1, k_max + 1):
@@ -338,18 +325,17 @@ def verify_coeff_identities(q: QTable, c: CTable, k_max: int) -> tuple[str, list
             ("subdiag_ratio", (k + 1) * q.get(k, k), 10 * q.get(k, k - 1)),
             ("column_zero_bernoulli", bern[k + 1] / (k * (k + 1)), c.get(k, 0)),
         ):
-            checked += 1
             if got != want:
                 failures.append(f"{identity} at k={k}: expected {want}, got {got}")
 
     failures += genfunc_check(q, c, k_max)[1]
-    checked += 2
 
     n = min(k_max, 12)
-    checked += 1
     if not q_functional_equation_residual(q, k_max, n).is_zero():
         failures.append(f"bivariate_functional_equation: nonzero residual through ({k_max}, {n})")
 
     failures += remark_identity_failures(q, bern, k_max)
-    checked += k_max
+    # one positivity check per q entry, four ties and one remark per k, the
+    # two diagonal checks and the functional equation
+    checked = (k_max + 1) * (k_max + 2) // 2 + 5 * k_max + 3
     return f"{checked} exact checks to k={k_max}", failures

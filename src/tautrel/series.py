@@ -40,9 +40,8 @@ def _half_power_coeffs(lo: int, hi: int, order: int) -> dict[int, list[int]]:
         for k in range(1, order + 1):
             cs.append(cs[-1] * 2 * (start - 2 * k + 2) // k)
         for h in range(start, hi + 1, 2):
-            if h > start:
-                cs = [cs[0]] + [cs[k] + 4 * cs[k - 1] for k in range(1, order + 1)]
             out[h] = cs
+            cs = [cs[0]] + [cs[k] + 4 * cs[k - 1] for k in range(1, order + 1)]
     return out
 
 

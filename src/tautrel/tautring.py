@@ -202,11 +202,7 @@ class KappaPoly:
         return _sum_of_products([(self, other, 1)])
 
     def coeff(self, mono: Mono) -> Fraction:
-        try:
-            n = self._num.get(_encode(mono))
-        except ValueError:
-            return _ZERO
-        return Fraction(n, self._den) if n else _ZERO
+        return self.terms.get(mono, _ZERO)
 
     def gen_coeff(self, index: int) -> Fraction:
         """Coefficient of the bare generator kappa_index (exponent 1)."""

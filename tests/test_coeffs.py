@@ -184,7 +184,7 @@ def test_closed_forms_match_ode_solution(q20, c20):
     assert expand_w_deriv_closed(q20, 10, 8).coeffs == a_w
 
 
-@pytest.mark.parametrize("orders", [(12, 12), (12, 5), (5, 12), (2, 1), (1, 3)])
+@pytest.mark.parametrize("orders", [(12, 12), (12, 5), (5, 12), (2, 1), (1, 3), (0, 4)])
 def test_closed_forms_match_binomial_oracle(q20, c20, orders):
     assert expand_closed_form(c20, *orders).coeffs == ref_closed_form(c20.rows, *orders)
     assert expand_w_deriv_closed(q20, *orders).coeffs == ref_w_deriv_closed(q20.rows, *orders)

@@ -1,29 +1,59 @@
-"""Faults injected into the exponential and extraction layers, and which checks see them.
+"""Faults injected layer by layer, and which checks see them.
 
-Each fault monkeypatches one function that extraction or ``faber_solve``
-runs, so the relations read through it are wrong while the tables stay
-right.  The first two double one cell that ``tautring._exp_factors``
-returns.  The extraction-layer rows hit the second factor, the batch's
-cells, the cell convolution, the relation window and substitution.
+Each fault monkeypatches one function that a table build, extraction or
+``faber_solve`` runs.  Some wrap the function; the one-line faults swap
+in a copy compiled from its source with one line changed.
 
-- The crosscheck sees every fault but the substitution's, since it never
-  substitutes.
-- ``faber_solve`` sees only the window and substitution faults.  Its point
-  check reads the relation it solved, so a wrong relation passes it, and
-  the other rows are strict xfails until ROADMAP item 1.
+- Tables: the q builder forms each off-diagonal pair of its
+  self-convolution once.  The identities, ODE, genfunc and crosscheck
+  suites fail.  ``q_functional_equation_residual`` is the one check blind
+  to it when its own products share the fault, since it forms Q**2 with
+  the helper the builder used; the identities suite still fails on its
+  other identities.
+- Exponential: ``tautring._exp_factors`` with one E0 or G cell doubled,
+  or with the E0 weight, the G weight or the G divisor one too large at
+  one place.
+- Extraction: the second factor, the batch's cells, the cell convolution,
+  the relation window and substitution.
 
-Known gap: ``terms_json`` is checked only against the tests' own
-``ref_terms_json``; no fault row here reaches it.
+The crosscheck sees every table, exponential and extraction fault but
+the substitution's, since it never substitutes.  ``faber_solve`` sees only
+the window and substitution faults.  Its point check reads the relation
+it solved, so a wrong relation passes it, and the other rows are strict
+xfails until ROADMAP item 1.
+
+Known gaps, each pinned by a test below:
+
+- ``_one_window``, the single read behind every ``relation`` op: no
+  run-time check reads it, so a wrong single read passes the crosscheck
+  and ``faber_solve``; only the batch read differs.
+- ``terms_json``: the CLI prints what it writes with exit 0, and only the
+  tests' own ``ref_terms_json`` checks it.
 """
 
+import __future__
+import inspect
 import re
+import textwrap
 from fractions import Fraction as F
 
 import pytest
 
-from tautrel import relations, tautring
+from tautrel import coeffs, relations, tables, tautring
+from tautrel.cli import main
+from tautrel.coeffs import (
+    genfunc_check,
+    ode_check_failures,
+    q_functional_equation_residual,
+    verify_coeff_identities,
+)
 from tautrel.relations import FaberConsistencyError, cross_pipeline_check, faber_solve
-from tautrel.tautring import KappaPoly
+from tautrel.tautring import (
+    KappaPoly,
+    extract_psi_relation,
+    extract_relation,
+    extract_relations,
+)
 
 # strict, and only for "DID NOT RAISE": a fault that made faber_solve fail
 # some other way would not count as this expected failure
@@ -32,6 +62,77 @@ _ITEM_1 = pytest.mark.xfail(
     raises=pytest.fail.Exception,
     reason="ROADMAP item 1: faber_solve has no check independent of the exponential",
 )
+
+
+def _one_line_fault(func, old, new):
+    """A copy of ``func`` compiled from its source in its own module's
+    namespace, with the one occurrence of ``old`` replaced by ``new``."""
+    src = textwrap.dedent(inspect.getsource(func))
+    assert src.count(old) == 1, old
+    code = compile(
+        src.replace(old, new),
+        inspect.getsourcefile(func),
+        "exec",
+        flags=__future__.annotations.compiler_flag,
+        dont_inherit=True,
+    )
+    namespace = {}
+    exec(code, func.__globals__, namespace)
+    return namespace[func.__name__]
+
+
+# ----------------------------------------------------------- table layer
+
+def _pairs_once():
+    """``_add_symmetric_products`` forming each off-diagonal pair once:
+    weight 1 where m != i - m, not 2."""
+    return _one_line_fault(tables._add_symmetric_products, " * (1 if 2 * m == i else 2)", "")
+
+
+def _tables_with_pairs_once():
+    """q and c to k = 20, built with ``_pairs_once`` patched in ``tables`` only."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tables, "_add_symmetric_products", _pairs_once())
+        q = tables.build_q_table(20)
+    return q, tables.build_c_table(q)
+
+
+def test_checks_on_pairs_formed_once_in_the_q_table():
+    q, c = _tables_with_pairs_once()
+    failures = verify_coeff_identities(q, c, 20)[1]
+    assert failures[0] == "diag_sixty at k=2: expected 55, got 235/4"
+    assert "bivariate_functional_equation: nonzero residual through (20, 12)" in failures
+    assert ode_check_failures(q, c, 20)[1] == [
+        "closed form differs from the solved series",
+        "derivative closed form differs",
+    ]
+    assert genfunc_check(q, c, 20)[1] == [
+        "diag_exponential: exp of the c diagonal is not P(z) through z^20",
+        "diag_functional_equation: nonzero residual through z^20",
+    ]
+    assert cross_pipeline_check(q, c, 14)[1] == ["(g=4, d=2, b=1) pipelines disagree"]
+
+
+def test_functional_equation_shares_the_q_builders_products(monkeypatch):
+    # the one check blind to this fault: with the helper patched where the
+    # residual reads it too, Q**2 carries the builder's own error
+    q, c = _tables_with_pairs_once()
+    monkeypatch.setattr(coeffs, "_add_symmetric_products", _pairs_once())
+    assert q_functional_equation_residual(q, 20, 12).is_zero()
+    failures = verify_coeff_identities(q, c, 20)[1]
+    assert failures[0] == "diag_sixty at k=2: expected 55, got 235/4"
+    assert not any(f.startswith("bivariate_functional_equation") for f in failures)
+
+
+# all 10 of faber_solve's expressions at g = 18 are wrong, and it raises nothing
+@_ITEM_1
+def test_faber_solve_on_pairs_formed_once_in_the_q_table():
+    q, c = _tables_with_pairs_once()
+    with pytest.raises(FaberConsistencyError):
+        faber_solve(18, q, c)
+
+
+# ----------------------------------------------------- exponential layer
 
 # (factor, cell doubled, the crosscheck's first mismatch)
 FAULTS = [
@@ -64,6 +165,64 @@ def test_crosscheck_sees_a_doubled_exponential_cell(fault, q20, c20):
 # the E0 fault and 6 under the G fault, and raises nothing
 @_ITEM_1
 def test_faber_solve_sees_a_doubled_exponential_cell(fault, q20, c20):
+    with pytest.raises(FaberConsistencyError):
+        faber_solve(18, q20, c20)
+
+
+# (the line's text, its faulty text, the first crosscheck cell whose
+# exponential-route relation changes, the crosscheck's first mismatch).
+# Both routes build their exponential through _exp_factors, so the first
+# mismatch can come from the ODE route's relation.  At g = 18 faber_solve
+# returns 4, 6 and 10 wrong expressions, and raises nothing.
+EXP_FACTORS_FAULTS = {
+    # the E0 recurrence's weight m at m = 3, i = 7
+    "E0-weight-3-7": (
+        "(s, e0[(i - m, 0)], m)",
+        "(s, e0[(i - m, 0)], m + ((m, i) == (3, 7)))",
+        (11, 2, 1),
+        (9, 2, 1),
+    ),
+    # the G recurrence's weight l at cell (5, 2)
+    "G-weight-5-2": (
+        "(s, g[(i - m, j - l)], l)",
+        "(s, g[(i - m, j - l)], l + ((i, j) == (5, 2)))",
+        (7, 2, 1),
+        (7, 2, 1),
+    ),
+    # the G recurrence's divisor j at j = 3
+    "G-divisor-3": (
+        "_sum_of_products(pairs, div=j)",
+        "_sum_of_products(pairs, div=j + (j == 3))",
+        (7, 3, 1),
+        (5, 3, 1),
+    ),
+}
+
+
+def _inject_exp_factors_fault(monkeypatch, old, new):
+    monkeypatch.setattr(
+        tautring, "_exp_factors", _one_line_fault(tautring._exp_factors, old, new)
+    )
+
+
+@pytest.mark.parametrize(
+    "old, new, changed, mismatch", EXP_FACTORS_FAULTS.values(), ids=EXP_FACTORS_FAULTS
+)
+def test_crosscheck_on_an_exp_factors_fault(old, new, changed, mismatch, monkeypatch, q20, c20):
+    right = extract_relations([changed], q20, c20)
+    _inject_exp_factors_fault(monkeypatch, old, new)
+    # the fault fires: one relation of the exponential route changes
+    assert extract_relations([changed], q20, c20) != right
+    g, d, b = mismatch
+    assert cross_pipeline_check(q20, c20, 14)[1] == [f"(g={g}, d={d}, b={b}) pipelines disagree"]
+
+
+@_ITEM_1
+@pytest.mark.parametrize(
+    "old, new", [fault[:2] for fault in EXP_FACTORS_FAULTS.values()], ids=EXP_FACTORS_FAULTS
+)
+def test_faber_solve_on_an_exp_factors_fault(old, new, monkeypatch, q20, c20):
+    _inject_exp_factors_fault(monkeypatch, old, new)
     with pytest.raises(FaberConsistencyError):
         faber_solve(18, q20, c20)
 
@@ -175,3 +334,41 @@ def test_faber_solve_on_an_extraction_fault(inject, error, monkeypatch, q20, c20
     inject(monkeypatch)
     with pytest.raises(FaberConsistencyError, match=error and re.escape(error)):
         faber_solve(18, q20, c20)
+
+
+# -------------------------------------------------------------- known gaps
+
+def test_a_wrong_single_read_passes_every_run_time_check(monkeypatch, q20, c20):
+    # A known gap: every relation op prints one single read, through
+    # _one_window, and no run-time check reads that route.  Doubled at
+    # n = 5, the (7, 2, 1) and psi (7, 2) reads change and the first then
+    # differs from the batch read, yet the crosscheck and faber_solve pass.
+    right = extract_relation(7, 2, 1, q20, c20), extract_psi_relation(7, 2, q20, c20)
+    one_window = tautring._one_window
+
+    def doubled(coeff, f2, n, d):
+        poly = one_window(coeff, f2, n, d)
+        return poly.scale(2) if n == 5 else poly
+
+    monkeypatch.setattr(tautring, "_one_window", doubled)
+    wrong = extract_relation(7, 2, 1, q20, c20), extract_psi_relation(7, 2, q20, c20)
+    assert wrong[0] != right[0] and wrong[1] != right[1]
+    assert wrong[0] != extract_relations([(7, 2, 1)], q20, c20)[0]
+    assert cross_pipeline_check(q20, c20, 14)[1] == []
+    assert len(faber_solve(18, q20, c20)) == 10
+
+
+def test_a_json_writer_dropping_a_term_exits_0(monkeypatch, capsys):
+    # A known gap: terms_json writes what faber and relation print, and no
+    # run-time check reads it back.  Dropping its last term changes both
+    # outputs, and both still exit 0.
+    commands = (["faber", "--g", "8", "--rewrite"], ["relation", "--g", "8", "--d", "2"])
+    right = []
+    for argv in commands:
+        assert main(argv) == 0
+        right.append(capsys.readouterr().out)
+    dropping = _one_line_fault(tautring.terms_json, "','.join(parts)", "','.join(parts[:-1])")
+    monkeypatch.setattr(tautring, "terms_json", dropping)
+    for argv, out in zip(commands, right):
+        assert main(argv) == 0
+        assert capsys.readouterr().out != out

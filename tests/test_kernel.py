@@ -242,3 +242,5 @@ def test_unrepresentable_monomials_are_rejected():
         KappaPoly({((1, 1), (1, 2)): F(1)})
     assert KappaPoly.gen(2).coeff(((MAX_INDEX + 1, 1),)) == 0
     assert KappaPoly.gen(2).gen_coeff(-1) == 0
+    # a malformed monomial reads 0 through coeff, as through terms
+    assert KappaPoly.gen(2).coeff((("x", 1),)) == 0

@@ -237,6 +237,7 @@ def test_rank_exact_basic():
     rows = [
         [F(1), F(2), F(3)],
         [F(2), F(4), F(6)],
+        [F(0), F(0), F(0)],
         [F(0), F(1), F(1)],
     ]
     assert rank_exact(rows) == 2
